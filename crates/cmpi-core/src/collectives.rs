@@ -8,12 +8,14 @@
 //! Section V-C reports: the intra-host fraction of the traffic moves from
 //! the HCA loopback to SHM/CMA.
 //!
-//! On top of the flat defaults the module provides a *two-level*
-//! (SMP-aware) family — [`Mpi::bcast_smp`], [`Mpi::allreduce_smp`],
-//! [`Mpi::reduce_smp`], [`Mpi::gather_smp`], [`Mpi::allgather_smp`],
-//! [`Mpi::barrier_smp`], [`Mpi::alltoall_smp`] — that stages through
-//! per-group leaders (host-local fan-in, inter-leader exchange,
-//! host-local fan-out). The public entry points route through the
+//! Each flat algorithm is one fallible function over an explicit rank
+//! list (`*_list`), shared by the world collectives, the communicator
+//! collectives and the two-level composer. The composer runs every
+//! SMP-aware schedule from one table, `SCHEDULE`: a root → leader
+//! shuttle, an intra-group pre-exchange, group → leader, across the
+//! leaders, leader → group, and a leader → root shuttle, each phase a
+//! flat list algorithm over the job-shared locality `Partition`. The
+//! public entry points route through the
 //! [`crate::coll_select::CollectiveSelector`], so `ContainerDetector`
 //! jobs pick up hierarchical scheduling automatically while the
 //! `Hostname` ("Default") policy degenerates to the flat paths.
@@ -29,6 +31,7 @@ use crate::locality::LocalityPolicy;
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::{JobState, Mpi};
 use crate::stats::CallClass;
+use cmpi_cluster::SimTime;
 
 /// Collective op ids baked into internal tags (high bits).
 mod op {
@@ -41,31 +44,8 @@ mod op {
     pub const ALLGATHER: u32 = 7;
     pub const ALLTOALL: u32 = 8;
     pub const ALLTOALLV: u32 = 9;
-    // Two-level bcast/allreduce phases (the ids the original SMP variants
-    // shipped with; kept stable so traces stay comparable).
-    pub const SMP_PHASE0: u32 = 10;
-    pub const SMP_PHASE1: u32 = 11;
-    pub const SMP_PHASE2: u32 = 12;
-    /// Root→leader shuttle for rooted two-level ops whose root is not its
-    /// group's leader.
-    pub const SMP_SHUTTLE: u32 = 15;
-    pub const SMP_REDUCE0: u32 = 16;
-    pub const SMP_REDUCE1: u32 = 17;
-    pub const SMP_REDUCE2: u32 = 18;
-    pub const SMP_GATHER0: u32 = 20;
-    pub const SMP_GATHER1: u32 = 21;
-    pub const SMP_GATHER2: u32 = 22;
-    pub const SMP_AG0: u32 = 24;
-    pub const SMP_AG1: u32 = 25;
-    pub const SMP_AG2: u32 = 26;
-    pub const SMP_AG3: u32 = 27;
-    pub const SMP_BAR0: u32 = 28;
-    pub const SMP_BAR1: u32 = 29;
-    pub const SMP_BAR2: u32 = 30;
-    pub const SMP_A2A0: u32 = 32;
-    pub const SMP_A2A1: u32 = 33;
-    pub const SMP_A2A2: u32 = 34;
-    pub const SMP_A2A3: u32 = 35;
+    /// First op id of the two-level schedules (see [`super::phase_op`]).
+    pub const TWO_LEVEL: u32 = 64;
 }
 
 /// Width of the round field in an internal collective tag.
@@ -88,11 +68,11 @@ pub(crate) fn tag(op_id: u32, round: u32) -> u32 {
     (op_id << TAG_ROUND_BITS) | (round & ((1 << TAG_ROUND_BITS) - 1))
 }
 
-/// Serialize `(rank, payload)` pairs for tree bundles.
-fn bundle(parts: &[(usize, Bytes)]) -> Bytes {
+/// Serialize `(key, payload)` pairs for tree bundles.
+fn bundle<'a>(parts: impl IntoIterator<Item = &'a (usize, Bytes)>) -> Bytes {
     let mut out = BytesMut::new();
-    for (rank, data) in parts {
-        out.put_u32_le(*rank as u32);
+    for (key, data) in parts {
+        out.put_u32_le(*key as u32);
         out.put_u32_le(data.len() as u32);
         out.extend_from_slice(data);
     }
@@ -127,129 +107,232 @@ fn unbundle(data: &Bytes) -> Result<Vec<(usize, Bytes)>, MpiError> {
     Ok(parts)
 }
 
-/// [`unbundle`] for payloads that must be intact (tree-internal frames the
-/// library itself produced); panics with the structured diagnostic.
-fn unbundle_ok(data: &Bytes, what: &str) -> Vec<(usize, Bytes)> {
-    unbundle(data).unwrap_or_else(|e| panic!("{what}: {e}"))
+/// Unwrap a world collective's outcome at the public boundary: the
+/// world communicator has no failure handling, so an error is fatal.
+pub(crate) fn must<R>(what: &str, r: Result<R, MpiError>) -> R {
+    r.unwrap_or_else(|e| panic!("{what} failed: {e}"))
 }
 
-/// The locality groups `state.policy` induces over all `n` ranks: each
-/// group sorted, groups ordered by smallest member. A pure function of
-/// job-wide state, so every rank computes the same partition.
-pub(crate) fn policy_groups_of(state: &JobState, n: usize) -> Vec<Vec<usize>> {
-    let mut keyed: Vec<(String, usize)> = (0..n)
-        .map(|r| {
-            let loc = state.placement.loc(r);
-            let cont = state.cluster.container(loc.container);
-            let key = match state.policy {
-                LocalityPolicy::Hostname => format!("h:{}:{}", loc.host, cont.hostname),
-                _ => format!("d:{}:{}", loc.host, cont.ipc_ns.0),
-            };
-            (key, r)
-        })
-        .collect();
-    keyed.sort();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut cur_key: Option<String> = None;
-    for (k, r) in keyed {
-        if cur_key.as_deref() == Some(k.as_str()) {
-            groups.last_mut().unwrap().push(r);
-        } else {
-            cur_key = Some(k);
-            groups.push(vec![r]);
-        }
+/// Place rank-keyed `(rank, block)` parts into a rank-ordered buffer of
+/// `n` blocks of `block` elements.
+fn assemble<T: MpiData>(parts: &[(usize, Bytes)], block: usize, n: usize) -> Vec<T> {
+    let mut all = zeroed(block * n);
+    for (r, b) in parts {
+        from_bytes(b, &mut all[r * block..(r + 1) * block]);
     }
-    for g in &mut groups {
-        g.sort_unstable();
-    }
-    groups.sort_by_key(|g| g[0]);
-    groups
+    all
 }
 
-/// The leader topology one two-level collective call operates on.
+/// Combines an incoming contribution into an accumulator: a reduction
+/// operator bound to its element type.
+pub(crate) type Combine<'a, T> = &'a dyn Fn(&mut [T], &[T]);
+
+/// The locality partition the policy induces over a job's ranks. Built
+/// once per job and shared by every rank through an `Arc`.
 ///
 /// Leaders are *always* each group's smallest rank — one rule for every
 /// phase of every collective, so two phases of one call can never
-/// disagree about who the leader is. Rooted collectives whose root is not
-/// its group's leader shuttle the payload between the two explicitly.
-pub(crate) struct SmpTopo {
-    groups: Vec<Vec<usize>>,
-    my_group: Vec<usize>,
+/// disagree about who the leader is.
+pub(crate) struct Partition {
+    /// The groups, each sorted, ordered by smallest member.
+    pub(crate) groups: Vec<Vec<usize>>,
+    /// Each group's leader, in group order (so a leader's position in
+    /// this list is its group index).
     leaders: Vec<usize>,
-    my_leader: usize,
+    /// The group index of every rank.
+    group_of: Vec<usize>,
 }
 
-impl SmpTopo {
-    /// Derive one rank's topology view from the locality groups.
-    pub(crate) fn build(groups: &[Vec<usize>], rank: usize) -> SmpTopo {
-        let groups = groups.to_vec();
-        let my_group = groups
-            .iter()
-            .find(|g| g.contains(&rank))
-            .expect("rank in no group")
-            .clone();
-        let leaders: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-        let my_leader = my_group[0];
-        SmpTopo {
+impl Partition {
+    /// The groups `state.policy` induces over all `n` ranks. A pure
+    /// function of job-wide state, so every rank sees the same partition.
+    pub(crate) fn of(state: &JobState, n: usize) -> Partition {
+        let mut keyed: Vec<(String, usize)> = (0..n)
+            .map(|r| {
+                let loc = state.placement.loc(r);
+                let cont = state.cluster.container(loc.container);
+                let key = match state.policy {
+                    LocalityPolicy::Hostname => format!("h:{}:{}", loc.host, cont.hostname),
+                    _ => format!("d:{}:{}", loc.host, cont.ipc_ns.0),
+                };
+                (key, r)
+            })
+            .collect();
+        keyed.sort();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut cur_key: Option<String> = None;
+        for (k, r) in keyed {
+            if cur_key.as_deref() == Some(k.as_str()) {
+                groups.last_mut().expect("a key was seen").push(r);
+            } else {
+                cur_key = Some(k);
+                groups.push(vec![r]);
+            }
+        }
+        for g in &mut groups {
+            g.sort_unstable();
+        }
+        groups.sort_by_key(|g| g[0]);
+        let mut group_of = vec![0; n];
+        for (i, g) in groups.iter().enumerate() {
+            for &r in g {
+                group_of[r] = i;
+            }
+        }
+        Partition {
+            leaders: groups.iter().map(|g| g[0]).collect(),
             groups,
-            my_group,
-            leaders,
-            my_leader,
+            group_of,
         }
     }
 
-    fn leader_of(&self, rank: usize) -> usize {
-        self.groups
-            .iter()
-            .find(|g| g.contains(&rank))
-            .expect("rank in no group")[0]
+    /// The group holding `rank`.
+    fn group(&self, rank: usize) -> &[usize] {
+        &self.groups[self.group_of[rank]]
+    }
+}
+
+/// A flat list algorithm one step of a two-level phase runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Algo {
+    /// Linear member → leader sends ([`Mpi::fanin_list`]).
+    FanIn,
+    /// Linear leader → member sends ([`Mpi::fanout_list`]).
+    FanOut,
+    /// Dissemination barrier ([`Mpi::barrier_list`]).
+    Dissemination,
+    /// Binomial broadcast ([`Mpi::bcast_list`]).
+    Bcast,
+    /// Binomial reduce ([`Mpi::reduce_list`]).
+    Reduce,
+    /// Recursive-doubling allreduce ([`Mpi::allreduce_list`]).
+    Allreduce,
+    /// Binomial gather ([`Mpi::gather_list`]).
+    Gather,
+    /// Pairwise exchange ([`Mpi::pairwise_list`]).
+    Pairwise,
+}
+
+/// The phases of a two-level schedule, in execution order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// A non-leader root hands its payload to its group's leader.
+    ShuttleIn,
+    /// Every group exchanges among all its members.
+    Pre,
+    /// Group members → their leader.
+    Up,
+    /// Among the group leaders, rooted at the root's leader.
+    Across,
+    /// Leader → its group members.
+    Down,
+    /// The root's leader hands the result to a non-leader root.
+    ShuttleOut,
+}
+
+impl Phase {
+    const ALL: [Phase; 6] = [
+        Phase::ShuttleIn,
+        Phase::Pre,
+        Phase::Up,
+        Phase::Across,
+        Phase::Down,
+        Phase::ShuttleOut,
+    ];
+}
+
+/// The two-level schedule of every [`CollKind`] (rows in
+/// [`CollKind::index`] order): the flat algorithms each [`Phase`] runs,
+/// in order. Pre, up and down run within every group (a one-rank group
+/// sends nothing), across runs among the leaders, and a shuttle is a
+/// broadcast over the pair (sender, receiver) — one message — that runs
+/// only when the root is not its group's leader.
+#[rustfmt::skip]
+const SCHEDULE: [[&[Algo]; 6]; 7] = {
+    use Algo::*;
+    [
+        // shuttle-in pre          up        across            down       shuttle-out
+        [&[],         &[],         &[FanIn], &[Dissemination], &[FanOut], &[]],      // barrier
+        [&[Bcast],    &[],         &[],      &[Bcast],         &[Bcast],  &[]],      // bcast
+        [&[],         &[],         &[Reduce],&[Reduce],        &[],       &[Bcast]], // reduce
+        [&[],         &[],         &[Reduce],&[Allreduce],     &[Bcast],  &[]],      // allreduce
+        [&[],         &[],         &[Gather],&[Gather],        &[],       &[Bcast]], // gather
+        [&[],         &[],         &[Gather],&[Gather, Bcast], &[Bcast],  &[]],      // allgather
+        [&[],         &[Pairwise], &[FanIn], &[Pairwise],      &[FanOut], &[]],      // alltoall
+    ]
+};
+
+/// Op id of step `step` of `phase` in `kind`'s two-level schedule — the
+/// one place two-level tags come from. Every step owns two consecutive
+/// ids (allreduce's non-power-of-two fallback uses the second).
+fn phase_op(kind: CollKind, phase: Phase, step: usize) -> u32 {
+    op::TWO_LEVEL + 24 * kind.index() as u32 + 4 * phase as u32 + 2 * step as u32
+}
+
+/// The value a two-level call carries from phase to phase.
+enum Carry<'a, T> {
+    /// Nothing moves (barrier).
+    Empty,
+    /// A reduction accumulator and its operator (reduce, allreduce).
+    Acc(Vec<T>, Combine<'a, T>),
+    /// An opaque payload, `None` until it reaches this rank (bcast, and
+    /// whatever a broadcast step delivers).
+    Payload(Option<Bytes>),
+    /// `(rank, contribution)` parts gathered so far (gather, allgather).
+    Parts(Vec<(usize, Bytes)>),
+    /// Alltoall: the caller's slabs, the output filled so far, and the
+    /// inter-group frames `(src * n + dst, slab)` staged at this rank.
+    Exchange {
+        data: &'a [T],
+        out: Vec<T>,
+        frames: Vec<(usize, Bytes)>,
+    },
+}
+
+impl<T: MpiData> Carry<'_, T> {
+    /// The carried value as one message payload.
+    fn into_payload(self) -> Option<Bytes> {
+        match self {
+            Carry::Empty => None,
+            Carry::Acc(acc, _) => Some(to_bytes(&acc)),
+            Carry::Payload(p) => p,
+            Carry::Parts(parts) => Some(bundle(&parts)),
+            Carry::Exchange { frames, .. } => Some(bundle(&frames)),
+        }
+    }
+
+    /// The reduction accumulator (reduce, allreduce).
+    fn into_acc(self) -> Vec<T> {
+        match self {
+            Carry::Acc(acc, _) => acc,
+            _ => unreachable!("reductions carry an accumulator"),
+        }
+    }
+
+    /// The carried value as rank-keyed parts (gather, allgather).
+    fn into_parts(self) -> Result<Vec<(usize, Bytes)>, MpiError> {
+        match self {
+            Carry::Parts(parts) => Ok(parts),
+            other => unbundle(&other.into_payload().unwrap_or_default()),
+        }
     }
 }
 
 impl Mpi {
-    // ---- internal helpers (no time-class attribution) ----------------------
+    // ---- point-to-point building blocks (no time-class attribution) --------
 
-    fn coll_send(&mut self, data: Bytes, dst: usize, t: u32, ctx: u32) {
-        let id = self.isend_inner(data, dst, t, ctx);
-        self.wait_send_inner(id);
-    }
-
-    fn coll_recv(&mut self, src: usize, t: u32, ctx: u32) -> Bytes {
-        let id = self.irecv_inner(Some(src), Some(t), ctx);
-        self.wait_recv_inner(id).0
-    }
-
-    fn coll_sendrecv(&mut self, data: Bytes, dst: usize, src: usize, t: u32, ctx: u32) -> Bytes {
-        let sid = self.isend_inner(data, dst, t, ctx);
-        let rid = self.irecv_inner(Some(src), Some(t), ctx);
-        let out = self.wait_recv_inner(rid).0;
-        self.wait_send_inner(sid);
-        out
-    }
-
-    pub(crate) fn try_coll_send(
-        &mut self,
-        data: Bytes,
-        dst: usize,
-        t: u32,
-        ctx: u32,
-    ) -> Result<(), MpiError> {
+    fn coll_send(&mut self, data: Bytes, dst: usize, t: u32, ctx: u32) -> Result<(), MpiError> {
         let id = self.isend_inner(data, dst, t, ctx);
         self.try_wait_send_inner(id)
     }
 
-    pub(crate) fn try_coll_recv(
-        &mut self,
-        src: usize,
-        t: u32,
-        ctx: u32,
-    ) -> Result<Bytes, MpiError> {
+    fn coll_recv(&mut self, src: usize, t: u32, ctx: u32) -> Result<Bytes, MpiError> {
         let id = self.irecv_inner(Some(src), Some(t), ctx);
         Ok(self.try_wait_recv_inner(id)?.0)
     }
 
     /// Both halves run to an outcome so neither request leaks on error.
-    pub(crate) fn try_coll_sendrecv(
+    fn coll_sendrecv(
         &mut self,
         data: Bytes,
         dst: usize,
@@ -266,52 +349,68 @@ impl Mpi {
         Ok(out.0)
     }
 
-    /// Flat fan-in to `list[0]`: every member posts one empty message to
-    /// the leader and moves on; the leader absorbs them all. On an
-    /// oversubscribed host this beats a tree for synchronization-only
-    /// traffic — members never wait on each other (no intermediate
-    /// park/wake chain), only the leader blocks — mirroring the
-    /// shared-memory flag barrier MVAPICH2 uses for its SMP phase.
-    pub(crate) fn coll_fanin_inner(&mut self, list: &[usize], op_id: u32) {
-        let leader = list[0];
-        if self.rank == leader {
+    /// This rank's position in `list`.
+    fn pos_in(&self, list: &[usize], what: &str) -> usize {
+        list.iter()
+            .position(|&r| r == self.rank)
+            .unwrap_or_else(|| panic!("rank not in {what} group"))
+    }
+
+    // ---- flat algorithms over an explicit rank list ------------------------
+    //
+    // Positions in `list` act as virtual ranks. Each fails fast at entry
+    // on a revoked context or convicted member, and in flight when a
+    // partner dies mid-round.
+
+    /// Linear fan-in to `list[0]`: every other member sends `mine` to the
+    /// leader and moves on; the leader hands their payloads to `sink` in
+    /// list order. On an oversubscribed host this beats a tree for
+    /// synchronization-only traffic — members never wait on each other
+    /// (no intermediate park/wake chain), only the leader blocks —
+    /// mirroring the shared-memory flag barrier MVAPICH2 uses for its SMP
+    /// phase.
+    fn fanin_list(
+        &mut self,
+        mine: Bytes,
+        list: &[usize],
+        op_id: u32,
+        ctx: u32,
+        mut sink: impl FnMut(Bytes),
+    ) -> Result<(), MpiError> {
+        self.check_op_failure(ctx, None)?;
+        if self.rank == list[0] {
             for &r in &list[1..] {
-                let _ = self.coll_recv(r, tag(op_id, 0), CTX_COLL);
+                sink(self.coll_recv(r, tag(op_id, 0), ctx)?);
             }
+            Ok(())
         } else {
-            self.coll_send(Bytes::new(), leader, tag(op_id, 0), CTX_COLL);
+            self.coll_send(mine, list[0], tag(op_id, 0), ctx)
         }
     }
 
-    /// Flat fan-out from `list[0]`: the leader releases every member with
-    /// one empty message. Counterpart of [`Mpi::coll_fanin_inner`].
-    pub(crate) fn coll_fanout_inner(&mut self, list: &[usize], op_id: u32) {
-        let leader = list[0];
-        if self.rank == leader {
+    /// Linear fan-out from `list[0]`: the leader sends `share(member)` to
+    /// every other member in list order; members return what they
+    /// received (the leader returns an empty payload).
+    fn fanout_list(
+        &mut self,
+        list: &[usize],
+        op_id: u32,
+        ctx: u32,
+        mut share: impl FnMut(usize) -> Bytes,
+    ) -> Result<Bytes, MpiError> {
+        self.check_op_failure(ctx, None)?;
+        if self.rank == list[0] {
             for &r in &list[1..] {
-                self.coll_send(Bytes::new(), r, tag(op_id, 1), CTX_COLL);
+                self.coll_send(share(r), r, tag(op_id, 0), ctx)?;
             }
+            Ok(Bytes::new())
         } else {
-            let _ = self.coll_recv(leader, tag(op_id, 1), CTX_COLL);
+            self.coll_recv(list[0], tag(op_id, 0), ctx)
         }
     }
 
-    /// Dissemination barrier over an explicit rank list (positions in
-    /// `list` act as virtual ranks).
-    pub(crate) fn barrier_inner(&mut self, list: &[usize], op_id: u32) {
-        self.barrier_inner_ctx(list, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::barrier_inner`] on an explicit communicator context.
-    pub(crate) fn barrier_inner_ctx(&mut self, list: &[usize], op_id: u32, ctx: u32) {
-        self.try_barrier_inner_ctx(list, op_id, ctx)
-            .unwrap_or_else(|e| panic!("barrier failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::barrier_inner_ctx`]: fails fast at entry on a
-    /// revoked context or convicted member, and in flight when a partner
-    /// dies mid-round.
-    pub(crate) fn try_barrier_inner_ctx(
+    /// Dissemination barrier.
+    pub(crate) fn barrier_list(
         &mut self,
         list: &[usize],
         op_id: u32,
@@ -322,49 +421,22 @@ impl Mpi {
         if n <= 1 {
             return Ok(());
         }
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in barrier group");
+        let me = self.pos_in(list, "barrier");
         let mut k = 0u32;
         let mut dist = 1usize;
         while dist < n {
             let dst = list[(me + dist) % n];
             let src = list[(me + n - dist % n) % n];
-            self.try_coll_sendrecv(Bytes::new(), dst, src, tag(op_id, k), ctx)?;
+            self.coll_sendrecv(Bytes::new(), dst, src, tag(op_id, k), ctx)?;
             dist <<= 1;
             k += 1;
         }
         Ok(())
     }
 
-    /// Binomial broadcast over an explicit rank list; `root_pos` indexes
-    /// `list`. Every rank returns the payload.
-    pub(crate) fn bcast_inner(
-        &mut self,
-        data: Option<Bytes>,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Bytes {
-        self.bcast_inner_ctx(data, list, root_pos, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::bcast_inner`] on an explicit communicator context.
-    pub(crate) fn bcast_inner_ctx(
-        &mut self,
-        data: Option<Bytes>,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-        ctx: u32,
-    ) -> Bytes {
-        self.try_bcast_inner_ctx(data, list, root_pos, op_id, ctx)
-            .unwrap_or_else(|e| panic!("bcast failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::bcast_inner_ctx`].
-    pub(crate) fn try_bcast_inner_ctx(
+    /// Binomial broadcast from `list[root_pos]`. Every rank returns the
+    /// payload.
+    pub(crate) fn bcast_list(
         &mut self,
         data: Option<Bytes>,
         list: &[usize],
@@ -374,11 +446,7 @@ impl Mpi {
     ) -> Result<Bytes, MpiError> {
         self.check_op_failure(ctx, None)?;
         let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in bcast group");
-        let relative = (me + n - root_pos) % n;
+        let relative = (self.pos_in(list, "bcast") + n - root_pos) % n;
         let mut payload = data.unwrap_or_default();
         // Receive phase.
         let mut mask = 1usize;
@@ -386,7 +454,7 @@ impl Mpi {
             if relative & mask != 0 {
                 let src_pos = (relative ^ mask) % n; // relative - mask
                 let src = list[(src_pos + root_pos) % n];
-                payload = self.try_coll_recv(src, tag(op_id, 0), ctx)?;
+                payload = self.coll_recv(src, tag(op_id, 0), ctx)?;
                 break;
             }
             mask <<= 1;
@@ -396,45 +464,19 @@ impl Mpi {
         while mask > 0 {
             if relative + mask < n {
                 let dst = list[((relative + mask) + root_pos) % n];
-                self.try_coll_send(payload.clone(), dst, tag(op_id, 0), ctx)?;
+                self.coll_send(payload.clone(), dst, tag(op_id, 0), ctx)?;
             }
             mask >>= 1;
         }
         Ok(payload)
     }
 
-    /// Binomial reduce over a rank list; only the root's return value is
-    /// meaningful.
-    pub(crate) fn reduce_inner<T: Reducible>(
+    /// Binomial reduce of the accumulators `acc` to `list[root_pos]`;
+    /// only the root's return value is meaningful.
+    pub(crate) fn reduce_list<T: MpiData>(
         &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Vec<T> {
-        self.reduce_inner_ctx(data, rop, list, root_pos, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::reduce_inner`] on an explicit communicator context.
-    pub(crate) fn reduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<T> {
-        self.try_reduce_inner_ctx(data, rop, list, root_pos, op_id, ctx)
-            .unwrap_or_else(|e| panic!("reduce failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::reduce_inner_ctx`].
-    pub(crate) fn try_reduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
+        mut acc: Vec<T>,
+        combine: Combine<T>,
         list: &[usize],
         root_pos: usize,
         op_id: u32,
@@ -442,27 +484,21 @@ impl Mpi {
     ) -> Result<Vec<T>, MpiError> {
         self.check_op_failure(ctx, None)?;
         let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in reduce group");
-        let relative = (me + n - root_pos) % n;
-        let mut acc = data.to_vec();
+        let relative = (self.pos_in(list, "reduce") + n - root_pos) % n;
         let mut mask = 1usize;
         while mask < n {
             if relative & mask == 0 {
                 let peer_rel = relative | mask;
                 if peer_rel < n {
                     let peer = list[(peer_rel + root_pos) % n];
-                    let bytes = self.try_coll_recv(peer, tag(op_id, 0), ctx)?;
+                    let bytes = self.coll_recv(peer, tag(op_id, 0), ctx)?;
                     let mut tmp = zeroed(acc.len());
                     from_bytes(&bytes, &mut tmp);
-                    reduce_into(rop, &mut acc, &tmp);
+                    combine(&mut acc, &tmp);
                 }
             } else {
-                let peer_rel = relative ^ mask;
-                let peer = list[(peer_rel + root_pos) % n];
-                self.try_coll_send(to_bytes(&acc), peer, tag(op_id, 0), ctx)?;
+                let peer = list[((relative ^ mask) + root_pos) % n];
+                self.coll_send(to_bytes(&acc), peer, tag(op_id, 0), ctx)?;
                 break;
             }
             mask <<= 1;
@@ -470,36 +506,13 @@ impl Mpi {
         Ok(acc)
     }
 
-    /// Recursive-doubling allreduce over a rank list (falls back to
-    /// reduce+bcast when the group size is not a power of two).
-    pub(crate) fn allreduce_inner<T: Reducible>(
+    /// Recursive-doubling allreduce of the accumulators `acc` (falls back
+    /// to reduce + bcast, the bcast on `op_id + 1`, when the group size
+    /// is not a power of two).
+    pub(crate) fn allreduce_list<T: MpiData>(
         &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        op_id: u32,
-    ) -> Vec<T> {
-        self.allreduce_inner_ctx(data, rop, list, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::allreduce_inner`] on an explicit communicator context.
-    pub(crate) fn allreduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<T> {
-        self.try_allreduce_inner_ctx(data, rop, list, op_id, ctx)
-            .unwrap_or_else(|e| panic!("allreduce failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::allreduce_inner_ctx`].
-    pub(crate) fn try_allreduce_inner_ctx<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
+        mut acc: Vec<T>,
+        combine: Combine<T>,
         list: &[usize],
         op_id: u32,
         ctx: u32,
@@ -507,67 +520,35 @@ impl Mpi {
         self.check_op_failure(ctx, None)?;
         let n = list.len();
         if n == 1 {
-            return Ok(data.to_vec());
+            return Ok(acc);
         }
         if !n.is_power_of_two() {
-            let red = self.try_reduce_inner_ctx(data, rop, list, 0, op_id, ctx)?;
-            let seed = if self.rank == list[0] {
-                Some(to_bytes(&red))
-            } else {
-                None
-            };
-            let bytes = self.try_bcast_inner_ctx(seed, list, 0, op_id + 1, ctx)?;
-            let mut out = zeroed(data.len());
-            from_bytes(&bytes, &mut out);
-            return Ok(out);
+            let mut red = self.reduce_list(acc, combine, list, 0, op_id, ctx)?;
+            let root = self.rank == list[0];
+            let bytes = self.bcast_list(root.then(|| to_bytes(&red)), list, 0, op_id + 1, ctx)?;
+            if !root {
+                from_bytes(&bytes, &mut red);
+            }
+            return Ok(red);
         }
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in allreduce group");
-        let mut acc = data.to_vec();
+        let me = self.pos_in(list, "allreduce");
         let mut mask = 1usize;
         let mut round = 0u32;
         while mask < n {
             let peer = list[me ^ mask];
-            let bytes =
-                self.try_coll_sendrecv(to_bytes(&acc), peer, peer, tag(op_id, round), ctx)?;
+            let bytes = self.coll_sendrecv(to_bytes(&acc), peer, peer, tag(op_id, round), ctx)?;
             let mut tmp = zeroed(acc.len());
             from_bytes(&bytes, &mut tmp);
-            reduce_into(rop, &mut acc, &tmp);
+            combine(&mut acc, &tmp);
             mask <<= 1;
             round += 1;
         }
         Ok(acc)
     }
 
-    /// Binomial gather of per-rank payloads; only the root's return value
-    /// (rank-ordered payloads) is meaningful.
-    pub(crate) fn gather_inner(
-        &mut self,
-        mine: Bytes,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-    ) -> Vec<(usize, Bytes)> {
-        self.gather_inner_ctx(mine, list, root_pos, op_id, CTX_COLL)
-    }
-
-    /// [`Mpi::gather_inner`] on an explicit communicator context.
-    pub(crate) fn gather_inner_ctx(
-        &mut self,
-        mine: Bytes,
-        list: &[usize],
-        root_pos: usize,
-        op_id: u32,
-        ctx: u32,
-    ) -> Vec<(usize, Bytes)> {
-        self.try_gather_inner_ctx(mine, list, root_pos, op_id, ctx)
-            .unwrap_or_else(|e| panic!("gather failed: {e}"))
-    }
-
-    /// Fault-tolerant [`Mpi::gather_inner_ctx`].
-    pub(crate) fn try_gather_inner_ctx(
+    /// Binomial gather of per-rank payloads to `list[root_pos]`; only the
+    /// root's return value (rank-ordered payloads) is meaningful.
+    pub(crate) fn gather_list(
         &mut self,
         mine: Bytes,
         list: &[usize],
@@ -577,11 +558,7 @@ impl Mpi {
     ) -> Result<Vec<(usize, Bytes)>, MpiError> {
         self.check_op_failure(ctx, None)?;
         let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in gather group");
-        let relative = (me + n - root_pos) % n;
+        let relative = (self.pos_in(list, "gather") + n - root_pos) % n;
         let mut parts: Vec<(usize, Bytes)> = vec![(self.rank, mine)];
         let mut mask = 1usize;
         while mask < n {
@@ -589,13 +566,12 @@ impl Mpi {
                 let src_rel = relative | mask;
                 if src_rel < n {
                     let src = list[(src_rel + root_pos) % n];
-                    let b = self.try_coll_recv(src, tag(op_id, 0), ctx)?;
-                    parts.extend(unbundle_ok(&b, "gather subtree bundle"));
+                    let b = self.coll_recv(src, tag(op_id, 0), ctx)?;
+                    parts.extend(unbundle(&b)?);
                 }
             } else {
-                let dst_rel = relative ^ mask;
-                let dst = list[(dst_rel + root_pos) % n];
-                self.try_coll_send(bundle(&parts), dst, tag(op_id, 0), ctx)?;
+                let dst = list[((relative ^ mask) + root_pos) % n];
+                self.coll_send(bundle(&parts), dst, tag(op_id, 0), ctx)?;
                 break;
             }
             mask <<= 1;
@@ -604,49 +580,282 @@ impl Mpi {
         Ok(parts)
     }
 
+    /// Pairwise exchange: in step `s` every member sends `outgoing(dst)`
+    /// to the member `s` positions ahead and hands what the member `s`
+    /// positions behind sent to `incoming(src, payload)`.
+    fn pairwise_list(
+        &mut self,
+        list: &[usize],
+        op_id: u32,
+        ctx: u32,
+        mut outgoing: impl FnMut(usize) -> Bytes,
+        mut incoming: impl FnMut(usize, Bytes),
+    ) -> Result<(), MpiError> {
+        self.check_op_failure(ctx, None)?;
+        let n = list.len();
+        let me = self.pos_in(list, "pairwise");
+        for step in 1..n {
+            let dst = list[(me + step) % n];
+            let src = list[(me + n - step) % n];
+            let got = self.coll_sendrecv(outgoing(dst), dst, src, tag(op_id, step as u32), ctx)?;
+            incoming(src, got);
+        }
+        Ok(())
+    }
+
+    /// Pairwise exchange of `block`-element slabs over `list`: the slab
+    /// for `dst` comes from `data`, the one from `src` lands in `out`.
+    fn exchange_slabs<T: MpiData>(
+        &mut self,
+        data: &[T],
+        out: &mut [T],
+        list: &[usize],
+        op_id: u32,
+    ) -> Result<(), MpiError> {
+        let block = data.len() / self.n;
+        self.pairwise_list(
+            list,
+            op_id,
+            CTX_COLL,
+            |dst| to_bytes(&data[dst * block..(dst + 1) * block]),
+            |src, got| from_bytes(&got, &mut out[src * block..(src + 1) * block]),
+        )
+    }
+
+    // ---- the two-level composer ---------------------------------------------
+
+    /// Run `kind`'s two-level schedule ([`SCHEDULE`]) over the job's
+    /// locality partition. `root` is the world root of a rooted kind (0
+    /// otherwise); `v` carries the call's value from phase to phase.
+    fn two_level<'a, T: MpiData>(
+        &mut self,
+        kind: CollKind,
+        root: usize,
+        mut v: Carry<'a, T>,
+    ) -> Result<Carry<'a, T>, MpiError> {
+        let part = Arc::clone(&self.coll_groups);
+        let group = part.group(self.rank);
+        let root_group = part.group_of[root];
+        let root_leader = part.leaders[root_group];
+        let shuttles = root != root_leader && (self.rank == root || self.rank == root_leader);
+        let (shuttle_in, shuttle_out) = ([root, root_leader], [root_leader, root]);
+        for (phase, algos) in Phase::ALL.into_iter().zip(SCHEDULE[kind.index()]) {
+            let (list, root_pos, active): (&[usize], usize, bool) = match phase {
+                Phase::ShuttleIn => (&shuttle_in, 0, shuttles),
+                Phase::ShuttleOut => (&shuttle_out, 0, shuttles),
+                Phase::Pre | Phase::Up | Phase::Down => (group, 0, true),
+                Phase::Across => (&part.leaders, root_group, self.rank == group[0]),
+            };
+            if !active {
+                continue;
+            }
+            for (step, &algo) in algos.iter().enumerate() {
+                let op_id = phase_op(kind, phase, step);
+                v = self.phase_step(algo, phase, list, root_pos, op_id, v)?;
+            }
+        }
+        Ok(v)
+    }
+
+    /// One step of a two-level phase: run `algo` over `list` on the
+    /// carried value.
+    fn phase_step<'a, T: MpiData>(
+        &mut self,
+        algo: Algo,
+        phase: Phase,
+        list: &[usize],
+        root_pos: usize,
+        op_id: u32,
+        v: Carry<'a, T>,
+    ) -> Result<Carry<'a, T>, MpiError> {
+        let ctx = CTX_COLL;
+        let n = self.n;
+        Ok(match (algo, v) {
+            (Algo::Dissemination, v) => {
+                self.barrier_list(list, op_id, ctx)?;
+                v
+            }
+            (Algo::Bcast, Carry::Acc(mut acc, f)) => {
+                let root = self.rank == list[root_pos];
+                let seed = root.then(|| to_bytes(&acc));
+                let bytes = self.bcast_list(seed, list, root_pos, op_id, ctx)?;
+                if !root {
+                    from_bytes(&bytes, &mut acc);
+                }
+                Carry::Acc(acc, f)
+            }
+            (Algo::Bcast, v) => {
+                let seed = if self.rank == list[root_pos] {
+                    v.into_payload()
+                } else {
+                    None
+                };
+                Carry::Payload(Some(self.bcast_list(seed, list, root_pos, op_id, ctx)?))
+            }
+            (Algo::Reduce, Carry::Acc(acc, f)) => {
+                Carry::Acc(self.reduce_list(acc, f, list, root_pos, op_id, ctx)?, f)
+            }
+            (Algo::Allreduce, Carry::Acc(acc, f)) => {
+                Carry::Acc(self.allreduce_list(acc, f, list, op_id, ctx)?, f)
+            }
+            (Algo::Gather, v) => {
+                let mine = v.into_payload().unwrap_or_default();
+                let parts = self.gather_list(mine, list, root_pos, op_id, ctx)?;
+                if phase != Phase::Across {
+                    Carry::Parts(parts)
+                } else {
+                    // Leaders contributed whole groups: flatten the
+                    // nested bundles back to per-rank parts.
+                    let mut flat = Vec::new();
+                    for (_, group_bundle) in &parts {
+                        flat.extend(unbundle(group_bundle)?);
+                    }
+                    flat.sort_by_key(|&(r, _)| r);
+                    Carry::Parts(flat)
+                }
+            }
+            (Algo::FanIn, Carry::Empty) => {
+                self.fanin_list(Bytes::new(), list, op_id, ctx, drop)?;
+                Carry::Empty
+            }
+            (Algo::FanOut, Carry::Empty) => {
+                self.fanout_list(list, op_id, ctx, |_| Bytes::new())?;
+                Carry::Empty
+            }
+            // Alltoall: slabs for the own group go direct; members hand
+            // the rest to the leader keyed by `src * n + dst`, leaders
+            // swap per-destination-group frames, and each leader hands
+            // every member the frames addressed to it.
+            (
+                Algo::Pairwise,
+                Carry::Exchange {
+                    data,
+                    mut out,
+                    frames,
+                },
+            ) if phase == Phase::Pre => {
+                self.exchange_slabs(data, &mut out, list, op_id)?;
+                Carry::Exchange { data, out, frames }
+            }
+            (Algo::FanIn, Carry::Exchange { data, out, .. }) => {
+                let block = data.len() / n;
+                let part = Arc::clone(&self.coll_groups);
+                let mine = part.group_of[self.rank];
+                let mut frames: Vec<(usize, Bytes)> = (0..n)
+                    .filter(|&d| part.group_of[d] != mine)
+                    .map(|d| {
+                        (
+                            self.rank * n + d,
+                            to_bytes(&data[d * block..(d + 1) * block]),
+                        )
+                    })
+                    .collect();
+                let leader = self.rank == list[0];
+                let sent = if leader {
+                    Bytes::new()
+                } else {
+                    bundle(&frames)
+                };
+                let mut got = Vec::new();
+                self.fanin_list(sent, list, op_id, ctx, |b| got.push(b))?;
+                for b in &got {
+                    frames.extend(unbundle(b)?);
+                }
+                if !leader {
+                    frames.clear();
+                }
+                Carry::Exchange { data, out, frames }
+            }
+            (Algo::Pairwise, Carry::Exchange { data, out, frames }) => {
+                let part = Arc::clone(&self.coll_groups);
+                let mut got = Vec::new();
+                self.pairwise_list(
+                    list,
+                    op_id,
+                    ctx,
+                    |dst_leader| {
+                        let g = part.group_of[dst_leader];
+                        bundle(frames.iter().filter(|(key, _)| part.group_of[key % n] == g))
+                    },
+                    |_, b| got.push(b),
+                )?;
+                let mut incoming = Vec::new();
+                for b in &got {
+                    incoming.extend(unbundle(b)?);
+                }
+                Carry::Exchange {
+                    data,
+                    out,
+                    frames: incoming,
+                }
+            }
+            (Algo::FanOut, Carry::Exchange { data, out, frames }) => {
+                let got = self.fanout_list(list, op_id, ctx, |member| {
+                    bundle(frames.iter().filter(|(key, _)| key % n == member))
+                })?;
+                let frames = if self.rank == list[0] {
+                    frames
+                } else {
+                    unbundle(&got)?
+                };
+                Carry::Exchange { data, out, frames }
+            }
+            (algo, _) => unreachable!("{algo:?} does not apply to this collective's value"),
+        })
+    }
+
     // ---- public collectives --------------------------------------------------
+
+    /// Enter a selectable collective: charge the entry cost, then pick
+    /// and record the algorithm for a `bytes`-sized call.
+    fn coll_enter(&mut self, kind: CollKind, bytes: usize) -> (SimTime, CollAlgo) {
+        let t0 = self.enter();
+        let algo = self.coll.select(kind, bytes);
+        self.record_coll_sel(kind, algo);
+        (t0, algo)
+    }
+
+    /// Leave a selectable collective, labelled with its algorithm.
+    fn coll_exit(&mut self, kind: CollKind, algo: CollAlgo, t0: SimTime) {
+        self.exit_named(CallClass::Collective, t0, coll_trace_name(kind, algo));
+    }
 
     /// Synchronize all ranks (`MPI_Barrier`).
     pub fn barrier(&mut self) {
-        let t0 = self.enter();
-        let algo = self.coll.select(CollKind::Barrier, 0);
-        self.record_coll_sel(CollKind::Barrier, algo);
-        if algo == CollAlgo::TwoLevel {
-            self.barrier_smp_inner();
+        let (t0, algo) = self.coll_enter(CollKind::Barrier, 0);
+        let r = if algo == CollAlgo::TwoLevel {
+            self.two_level(CollKind::Barrier, 0, Carry::<u8>::Empty)
+                .map(drop)
         } else {
-            self.with_world_list(|mpi, list| mpi.barrier_inner(list, op::BARRIER));
-        }
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Barrier, algo),
-        );
+            self.with_world_list(|mpi, list| mpi.barrier_list(list, op::BARRIER, CTX_COLL))
+        };
+        must("barrier", r);
+        self.coll_exit(CollKind::Barrier, algo, t0);
     }
 
     /// Broadcast `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Bcast, std::mem::size_of_val(buf));
-        self.record_coll_sel(CollKind::Bcast, algo);
-        match algo {
-            CollAlgo::TwoLevel => self.bcast_smp_inner(buf, root),
-            CollAlgo::Large => self.bcast_scatter_allgather_inner(buf, root),
-            CollAlgo::Flat => {
-                let seed = (self.rank == root).then(|| to_bytes(buf));
-                let out =
-                    self.with_world_list(|mpi, list| mpi.bcast_inner(seed, list, root, op::BCAST));
-                if self.rank != root {
-                    from_bytes(&out, buf);
-                }
+        let (t0, algo) = self.coll_enter(CollKind::Bcast, std::mem::size_of_val(buf));
+        let seed = (algo != CollAlgo::Large && self.rank == root).then(|| to_bytes(buf));
+        let out = match algo {
+            CollAlgo::TwoLevel => self
+                .two_level(CollKind::Bcast, root, Carry::<T>::Payload(seed))
+                .map(Carry::into_payload),
+            CollAlgo::Large => {
+                self.bcast_scatter_allgather_inner(buf, root);
+                Ok(None)
+            }
+            CollAlgo::Flat => self
+                .with_world_list(|mpi, list| mpi.bcast_list(seed, list, root, op::BCAST, CTX_COLL))
+                .map(Some),
+        };
+        let out = must("bcast", out);
+        if self.rank != root {
+            if let Some(bytes) = out {
+                from_bytes(&bytes, buf);
             }
         }
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, algo),
-        );
+        self.coll_exit(CollKind::Bcast, algo, t0);
     }
 
     /// Reduce elementwise to `root` (`MPI_Reduce`). Returns `Some(result)`
@@ -657,76 +866,61 @@ impl Mpi {
         rop: ReduceOp,
         root: usize,
     ) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Reduce, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Reduce, algo);
+        let (t0, algo) = self.coll_enter(CollKind::Reduce, std::mem::size_of_val(data));
+        let combine = |acc: &mut [T], x: &[T]| reduce_into(rop, acc, x);
         let acc = if algo == CollAlgo::TwoLevel {
-            self.reduce_smp_inner(data, rop, root)
+            self.two_level(CollKind::Reduce, root, Carry::Acc(data.to_vec(), &combine))
+                .map(Carry::into_acc)
         } else {
-            self.with_world_list(|mpi, list| mpi.reduce_inner(data, rop, list, root, op::REDUCE))
+            self.with_world_list(|mpi, list| {
+                mpi.reduce_list(data.to_vec(), &combine, list, root, op::REDUCE, CTX_COLL)
+            })
         };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Reduce, algo),
-        );
+        let acc = must("reduce", acc);
+        self.coll_exit(CollKind::Reduce, algo, t0);
         (self.rank == root).then_some(acc)
     }
 
     /// Elementwise reduction visible on every rank (`MPI_Allreduce`).
     pub fn allreduce<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Allreduce, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Allreduce, algo);
+        let (t0, algo) = self.coll_enter(CollKind::Allreduce, std::mem::size_of_val(data));
+        let combine = |acc: &mut [T], x: &[T]| reduce_into(rop, acc, x);
         let out = match algo {
-            CollAlgo::TwoLevel => self.allreduce_smp_inner(data, rop),
-            CollAlgo::Large => self.allreduce_rabenseifner_inner(data, rop),
-            CollAlgo::Flat => self
-                .with_world_list(|mpi, list| mpi.allreduce_inner(data, rop, list, op::ALLREDUCE)),
+            CollAlgo::TwoLevel => self
+                .two_level(CollKind::Allreduce, 0, Carry::Acc(data.to_vec(), &combine))
+                .map(Carry::into_acc),
+            CollAlgo::Large => Ok(self.allreduce_rabenseifner_inner(data, rop)),
+            CollAlgo::Flat => self.with_world_list(|mpi, list| {
+                mpi.allreduce_list(data.to_vec(), &combine, list, op::ALLREDUCE, CTX_COLL)
+            }),
         };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, algo),
-        );
+        let out = must("allreduce", out);
+        self.coll_exit(CollKind::Allreduce, algo, t0);
         out
     }
 
     /// Gather equal-size contributions to `root` (`MPI_Gather`). Returns
     /// the rank-ordered concatenation at the root.
     pub fn gather<T: MpiData>(&mut self, data: &[T], root: usize) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Gather, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Gather, algo);
-        let out = if algo == CollAlgo::TwoLevel {
-            let all = self.gather_smp_inner(data, root);
-            (self.rank == root).then_some(all)
+        let (t0, algo) = self.coll_enter(CollKind::Gather, std::mem::size_of_val(data));
+        let mine = to_bytes(data);
+        let parts = if algo == CollAlgo::TwoLevel {
+            self.two_level(CollKind::Gather, root, Carry::<T>::Payload(Some(mine)))
+                .and_then(|v| {
+                    if self.rank == root {
+                        v.into_parts()
+                    } else {
+                        Ok(Vec::new())
+                    }
+                })
         } else {
-            let parts = self.with_world_list(|mpi, list| {
-                mpi.gather_inner(to_bytes(data), list, root, op::GATHER)
-            });
-            if self.rank == root {
-                let mut all = zeroed(data.len() * self.n);
-                for (r, b) in parts {
-                    from_bytes(&b, &mut all[r * data.len()..(r + 1) * data.len()]);
-                }
-                Some(all)
-            } else {
-                None
-            }
+            self.with_world_list(|mpi, list| {
+                mpi.gather_list(mine, list, root, op::GATHER, CTX_COLL)
+            })
         };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Gather, algo),
-        );
-        out
+        let parts = must("gather", parts);
+        self.coll_exit(CollKind::Gather, algo, t0);
+        (self.rank == root).then(|| assemble(&parts, data.len(), self.n))
     }
 
     /// Scatter equal-size blocks from `root` (`MPI_Scatter`). `data` is
@@ -736,6 +930,7 @@ impl Mpi {
         let t0 = self.enter();
         let n = self.n;
         let relative = (self.rank + n - root) % n;
+        let t = tag(op::SCATTER, 0);
         // Bundle keyed by *relative* position.
         let mut mine: Option<Bytes> = None;
         let mut held: Vec<(usize, Bytes)> = Vec::new();
@@ -761,8 +956,8 @@ impl Mpi {
             while mask < n {
                 if relative & mask != 0 {
                     let parent = ((relative ^ mask) + root) % n;
-                    let b = self.coll_recv(parent, tag(op::SCATTER, 0), CTX_COLL);
-                    for (rel, part) in unbundle_ok(&b, "scatter subtree bundle") {
+                    let b = must("scatter", self.coll_recv(parent, t, CTX_COLL));
+                    for (rel, part) in must("scatter", unbundle(&b)) {
                         if rel == relative {
                             mine = Some(part);
                         } else {
@@ -794,14 +989,11 @@ impl Mpi {
             if relative + m_cur < n {
                 let lo = relative + m_cur;
                 let hi = (relative + 2 * m_cur).min(n);
-                let parts: Vec<(usize, Bytes)> = held
-                    .iter()
-                    .filter(|(rel, _)| *rel >= lo && *rel < hi)
-                    .cloned()
-                    .collect();
-                held.retain(|(rel, _)| *rel < lo || *rel >= hi);
-                let dst = list_abs(lo, root, n);
-                self.coll_send(bundle(&parts), dst, tag(op::SCATTER, 0), CTX_COLL);
+                let in_span = |rel: usize| rel >= lo && rel < hi;
+                let parts = bundle(held.iter().filter(|(rel, _)| in_span(*rel)));
+                held.retain(|(rel, _)| !in_span(*rel));
+                let dst = (lo + root) % n;
+                must("scatter", self.coll_send(parts, dst, t, CTX_COLL));
             }
             m_cur >>= 1;
         }
@@ -815,88 +1007,80 @@ impl Mpi {
     /// All-to-all gather of equal contributions (`MPI_Allgather`). Returns
     /// the rank-ordered concatenation.
     pub fn allgather<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let t0 = self.enter();
-        let algo = self
-            .coll
-            .select(CollKind::Allgather, std::mem::size_of_val(data));
-        self.record_coll_sel(CollKind::Allgather, algo);
+        let (t0, algo) = self.coll_enter(CollKind::Allgather, std::mem::size_of_val(data));
         let all = if algo == CollAlgo::TwoLevel {
-            self.allgather_smp_inner(data)
+            self.two_level(
+                CollKind::Allgather,
+                0,
+                Carry::<T>::Payload(Some(to_bytes(data))),
+            )
+            .and_then(Carry::into_parts)
+            .map(|parts| assemble(&parts, data.len(), self.n))
         } else {
-            self.allgather_flat_inner(data)
+            self.allgather_ring(data)
         };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allgather, algo),
-        );
+        let all = must("allgather", all);
+        self.coll_exit(CollKind::Allgather, algo, t0);
         all
     }
 
     /// Ring allgather over the world.
-    fn allgather_flat_inner<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
+    fn allgather_ring<T: MpiData>(&mut self, data: &[T]) -> Result<Vec<T>, MpiError> {
         let n = self.n;
         let block = data.len();
         let mut all = zeroed(block * n);
         all[self.rank * block..(self.rank + 1) * block].copy_from_slice(data);
-        if n > 1 {
-            let right = (self.rank + 1) % n;
-            let left = (self.rank + n - 1) % n;
-            for step in 0..n - 1 {
-                let send_block = (self.rank + n - step) % n;
-                let recv_block = (self.rank + n - step - 1) % n;
-                let payload = to_bytes(&all[send_block * block..(send_block + 1) * block]);
-                let got = self.coll_sendrecv(
-                    payload,
-                    right,
-                    left,
-                    tag(op::ALLGATHER, step as u32),
-                    CTX_COLL,
-                );
-                from_bytes(&got, &mut all[recv_block * block..(recv_block + 1) * block]);
-            }
+        let right = (self.rank + 1) % n;
+        let left = (self.rank + n - 1) % n;
+        for step in 0..n.saturating_sub(1) {
+            let send_block = (self.rank + n - step) % n;
+            let recv_block = (self.rank + n - step - 1) % n;
+            let payload = to_bytes(&all[send_block * block..(send_block + 1) * block]);
+            let t = tag(op::ALLGATHER, step as u32);
+            let got = self.coll_sendrecv(payload, right, left, t, CTX_COLL)?;
+            from_bytes(&got, &mut all[recv_block * block..(recv_block + 1) * block]);
         }
-        all
+        Ok(all)
     }
 
     /// Personalized all-to-all exchange (`MPI_Alltoall`). `data` holds one
     /// `block`-element slab per destination; returns one slab per source.
     pub fn alltoall<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let t0 = self.enter();
+        let (t0, algo) = self.coll_enter(CollKind::Alltoall, block * T::SIZE);
+        let n = self.n;
         assert_eq!(
             data.len(),
-            block * self.n,
+            block * n,
             "alltoall data must be n * block elements"
         );
-        let algo = self.coll.select(CollKind::Alltoall, block * T::SIZE);
-        self.record_coll_sel(CollKind::Alltoall, algo);
-        let out = if algo == CollAlgo::TwoLevel {
-            self.alltoall_smp_inner(data, block)
-        } else {
-            self.alltoall_flat_inner(data, block)
-        };
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Alltoall, algo),
-        );
-        out
-    }
-
-    /// Pairwise alltoall over the world.
-    fn alltoall_flat_inner<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let n = self.n;
+        let me = self.rank * block..(self.rank + 1) * block;
         let mut out = zeroed(block * n);
-        out[self.rank * block..(self.rank + 1) * block]
-            .copy_from_slice(&data[self.rank * block..(self.rank + 1) * block]);
-        for step in 1..n {
-            let dst = (self.rank + step) % n;
-            let src = (self.rank + n - step) % n;
-            let payload = to_bytes(&data[dst * block..(dst + 1) * block]);
-            let got =
-                self.coll_sendrecv(payload, dst, src, tag(op::ALLTOALL, step as u32), CTX_COLL);
-            from_bytes(&got, &mut out[src * block..(src + 1) * block]);
-        }
+        out[me.clone()].copy_from_slice(&data[me]);
+        let out = if algo == CollAlgo::TwoLevel {
+            let v = Carry::Exchange {
+                data,
+                out,
+                frames: Vec::new(),
+            };
+            self.two_level(CollKind::Alltoall, 0, v).map(|v| {
+                let Carry::Exchange {
+                    mut out, frames, ..
+                } = v
+                else {
+                    unreachable!("alltoall carries an exchange")
+                };
+                for (key, slab) in frames.iter().filter(|(key, _)| key % n == self.rank) {
+                    let s = key / n;
+                    from_bytes(slab, &mut out[s * block..(s + 1) * block]);
+                }
+                out
+            })
+        } else {
+            self.with_world_list(|mpi, list| mpi.exchange_slabs(data, &mut out, list, op::ALLTOALL))
+                .map(|()| out)
+        };
+        let out = must("alltoall", out);
+        self.coll_exit(CollKind::Alltoall, algo, t0);
         out
     }
 
@@ -929,429 +1113,12 @@ impl Mpi {
         out
     }
 
-    // ---- two-level (SMP-aware) variants --------------------------------------
-
     /// The locality groups the active policy induces (each group sorted,
     /// groups ordered by smallest member). All ranks compute the same
     /// partition.
     pub fn policy_groups(&self) -> Vec<Vec<usize>> {
-        self.coll_groups.as_ref().clone()
+        self.coll_groups.groups.clone()
     }
-
-    /// Snapshot the leader topology for one two-level call.
-    /// This rank's two-level topology view. Built once at init (the world
-    /// locality groups never change after that; shrink-produced
-    /// communicators carry their own groups in `ctx_coll`), so every
-    /// collective call pays a refcount bump instead of re-cloning the
-    /// whole group structure.
-    fn smp_topology(&self) -> Arc<SmpTopo> {
-        Arc::clone(&self.smp_topo)
-    }
-
-    /// Two-level broadcast: root → its group's leader → inter-leader
-    /// binomial tree → host-local binomial trees.
-    pub fn bcast_smp<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        self.bcast_smp_inner(buf, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, CollAlgo::TwoLevel),
-        );
-    }
-
-    fn bcast_smp_inner<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let topo = self.smp_topology();
-        let root_leader = topo.leader_of(root);
-        let mut payload: Option<Bytes> = (self.rank == root).then(|| to_bytes(buf));
-        // Phase 0: shuttle to the root's group leader when the root is
-        // not a leader itself.
-        if root != root_leader {
-            if self.rank == root {
-                let b = payload.clone().expect("root payload missing");
-                self.coll_send(b, root_leader, tag(op::SMP_SHUTTLE, 0), CTX_COLL);
-            } else if self.rank == root_leader {
-                payload = Some(self.coll_recv(root, tag(op::SMP_SHUTTLE, 0), CTX_COLL));
-            }
-        }
-        // Phase 1: inter-leader broadcast.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == root_leader)
-                .expect("root leader not in leader list");
-            let out = self.bcast_inner(payload.take(), &topo.leaders, root_pos, op::SMP_PHASE0);
-            payload = Some(out);
-        }
-        // Phase 2: host-local broadcast from the leader.
-        if topo.my_group.len() > 1 {
-            let root_pos = topo
-                .my_group
-                .iter()
-                .position(|&l| l == topo.my_leader)
-                .expect("leader not in its group");
-            let out = self.bcast_inner(payload.take(), &topo.my_group, root_pos, op::SMP_PHASE1);
-            payload = Some(out);
-        }
-        if self.rank != root {
-            from_bytes(&payload.expect("bcast payload missing"), buf);
-        }
-    }
-
-    /// Two-level allreduce: host-local reduce to the leader, inter-leader
-    /// allreduce, host-local broadcast.
-    pub fn allreduce_smp<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let out = self.allreduce_smp_inner(data, rop);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, CollAlgo::TwoLevel),
-        );
-        out
-    }
-
-    fn allreduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let topo = self.smp_topology();
-        let mut acc = if topo.my_group.len() > 1 {
-            self.reduce_inner(data, rop, &topo.my_group, 0, op::SMP_PHASE0)
-        } else {
-            data.to_vec()
-        };
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            acc = self.allreduce_inner(&acc, rop, &topo.leaders, op::SMP_PHASE1);
-        }
-        if topo.my_group.len() > 1 {
-            let seed = (self.rank == topo.my_leader).then(|| to_bytes(&acc));
-            let out = self.bcast_inner(seed, &topo.my_group, 0, op::SMP_PHASE2);
-            from_bytes(&out, &mut acc);
-        }
-        acc
-    }
-
-    /// Two-level reduce: host-local reduce to the leader, inter-leader
-    /// reduce rooted at the root's leader, leader → root shuttle.
-    pub fn reduce_smp<T: Reducible>(
-        &mut self,
-        data: &[T],
-        rop: ReduceOp,
-        root: usize,
-    ) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let acc = self.reduce_smp_inner(data, rop, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Reduce, CollAlgo::TwoLevel),
-        );
-        (self.rank == root).then_some(acc)
-    }
-
-    fn reduce_smp_inner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp, root: usize) -> Vec<T> {
-        let topo = self.smp_topology();
-        let root_leader = topo.leader_of(root);
-        // Phase 0: host-local fan-in to the group leader.
-        let mut acc = if topo.my_group.len() > 1 {
-            self.reduce_inner(data, rop, &topo.my_group, 0, op::SMP_REDUCE0)
-        } else {
-            data.to_vec()
-        };
-        // Phase 1: inter-leader reduce rooted at the root's leader.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            let root_pos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == root_leader)
-                .expect("root leader not in leader list");
-            acc = self.reduce_inner(&acc, rop, &topo.leaders, root_pos, op::SMP_REDUCE1);
-        }
-        // Phase 2: shuttle to a non-leader root.
-        if root != root_leader {
-            if self.rank == root_leader {
-                self.coll_send(to_bytes(&acc), root, tag(op::SMP_REDUCE2, 0), CTX_COLL);
-            } else if self.rank == root {
-                let b = self.coll_recv(root_leader, tag(op::SMP_REDUCE2, 0), CTX_COLL);
-                acc = zeroed(data.len());
-                from_bytes(&b, &mut acc);
-            }
-        }
-        acc
-    }
-
-    /// Two-level gather: host-local gather to the leader, leaders gather
-    /// the per-group bundles to the root's leader, leader → root shuttle.
-    /// Returns the rank-ordered concatenation at the root.
-    pub fn gather_smp<T: MpiData>(&mut self, data: &[T], root: usize) -> Option<Vec<T>> {
-        let t0 = self.enter();
-        let all = self.gather_smp_inner(data, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Gather, CollAlgo::TwoLevel),
-        );
-        (self.rank == root).then_some(all)
-    }
-
-    fn gather_smp_inner<T: MpiData>(&mut self, data: &[T], root: usize) -> Vec<T> {
-        let topo = self.smp_topology();
-        let root_leader = topo.leader_of(root);
-        // Phase 0: host-local gather to the group leader.
-        let parts = self.gather_inner(to_bytes(data), &topo.my_group, 0, op::SMP_GATHER0);
-        // Phase 1: leaders gather their groups' bundles to the root's
-        // leader, which flattens them back to per-rank payloads.
-        let mut flat: Vec<(usize, Bytes)> = Vec::new();
-        if self.rank == topo.my_leader {
-            if topo.leaders.len() > 1 {
-                let root_pos = topo
-                    .leaders
-                    .iter()
-                    .position(|&l| l == root_leader)
-                    .expect("root leader not in leader list");
-                let nested =
-                    self.gather_inner(bundle(&parts), &topo.leaders, root_pos, op::SMP_GATHER1);
-                if self.rank == root_leader {
-                    for (_, group_bundle) in &nested {
-                        flat.extend(unbundle_ok(group_bundle, "gather-smp group bundle"));
-                    }
-                }
-            } else if self.rank == root_leader {
-                flat = parts;
-            }
-        }
-        // Phase 2: shuttle the flattened bundle to a non-leader root.
-        if root != root_leader {
-            if self.rank == root_leader {
-                self.coll_send(bundle(&flat), root, tag(op::SMP_GATHER2, 0), CTX_COLL);
-            } else if self.rank == root {
-                let b = self.coll_recv(root_leader, tag(op::SMP_GATHER2, 0), CTX_COLL);
-                flat = unbundle_ok(&b, "gather-smp root bundle");
-            }
-        }
-        if self.rank == root {
-            let mut all = zeroed(data.len() * self.n);
-            for (r, b) in flat {
-                from_bytes(&b, &mut all[r * data.len()..(r + 1) * data.len()]);
-            }
-            all
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Two-level allgather: host-local gather to the leaders, leaders
-    /// assemble and redistribute the world bundle, host-local broadcast.
-    /// Returns the rank-ordered concatenation on every rank.
-    pub fn allgather_smp<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let t0 = self.enter();
-        let all = self.allgather_smp_inner(data);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allgather, CollAlgo::TwoLevel),
-        );
-        all
-    }
-
-    fn allgather_smp_inner<T: MpiData>(&mut self, data: &[T]) -> Vec<T> {
-        let topo = self.smp_topology();
-        let block = data.len();
-        // Phase 0: host-local gather to the leader.
-        let parts = self.gather_inner(to_bytes(data), &topo.my_group, 0, op::SMP_AG0);
-        // Phases 1+2: leaders assemble the world bundle at the first
-        // leader and broadcast it back over the leader tree.
-        let mut world: Option<Bytes> = None;
-        if self.rank == topo.my_leader {
-            let mine = bundle(&parts);
-            if topo.leaders.len() > 1 {
-                let nested = self.gather_inner(mine, &topo.leaders, 0, op::SMP_AG1);
-                let seed = (self.rank == topo.leaders[0]).then(|| {
-                    let mut flat: Vec<(usize, Bytes)> = Vec::new();
-                    for (_, gb) in &nested {
-                        flat.extend(unbundle_ok(gb, "allgather-smp group bundle"));
-                    }
-                    flat.sort_by_key(|&(r, _)| r);
-                    bundle(&flat)
-                });
-                world = Some(self.bcast_inner(seed, &topo.leaders, 0, op::SMP_AG2));
-            } else {
-                world = Some(mine);
-            }
-        }
-        // Phase 3: host-local broadcast of the world bundle.
-        let world = if topo.my_group.len() > 1 {
-            self.bcast_inner(world, &topo.my_group, 0, op::SMP_AG3)
-        } else {
-            world.expect("allgather-smp world bundle missing")
-        };
-        let mut all = zeroed(block * self.n);
-        for (r, b) in unbundle_ok(&world, "allgather-smp world bundle") {
-            from_bytes(&b, &mut all[r * block..(r + 1) * block]);
-        }
-        all
-    }
-
-    /// Two-level barrier: host-local fan-in to the leaders, inter-leader
-    /// dissemination barrier, host-local fan-out.
-    pub fn barrier_smp(&mut self) {
-        let t0 = self.enter();
-        self.barrier_smp_inner();
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Barrier, CollAlgo::TwoLevel),
-        );
-    }
-
-    fn barrier_smp_inner(&mut self) {
-        let topo = self.smp_topology();
-        // Phase 0: host-local flat fan-in (members post-and-go, only the
-        // leader blocks — no intermediate tree hops to schedule).
-        if topo.my_group.len() > 1 {
-            self.coll_fanin_inner(&topo.my_group, op::SMP_BAR0);
-        }
-        // Phase 1: inter-leader dissemination barrier.
-        if self.rank == topo.my_leader && topo.leaders.len() > 1 {
-            self.barrier_inner(&topo.leaders, op::SMP_BAR1);
-        }
-        // Phase 2: host-local fan-out releases the group.
-        if topo.my_group.len() > 1 {
-            self.coll_fanout_inner(&topo.my_group, op::SMP_BAR2);
-        }
-    }
-
-    /// Hierarchical alltoall: intra-group slabs exchange directly;
-    /// inter-group slabs are bundled through the leaders so only one
-    /// (aggregated) message crosses each group pair.
-    pub fn alltoall_smp<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let t0 = self.enter();
-        assert_eq!(
-            data.len(),
-            block * self.n,
-            "alltoall data must be n * block elements"
-        );
-        let out = self.alltoall_smp_inner(data, block);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Alltoall, CollAlgo::TwoLevel),
-        );
-        out
-    }
-
-    fn alltoall_smp_inner<T: MpiData>(&mut self, data: &[T], block: usize) -> Vec<T> {
-        let topo = self.smp_topology();
-        let n = self.n;
-        let m = topo.my_group.len();
-        let my_pos = topo
-            .my_group
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in its group");
-        let mut out = zeroed(block * n);
-        out[self.rank * block..(self.rank + 1) * block]
-            .copy_from_slice(&data[self.rank * block..(self.rank + 1) * block]);
-        // Phase A: intra-group pairwise exchange (local channels).
-        for step in 1..m {
-            let dst = topo.my_group[(my_pos + step) % m];
-            let src = topo.my_group[(my_pos + m - step) % m];
-            let payload = to_bytes(&data[dst * block..(dst + 1) * block]);
-            let got =
-                self.coll_sendrecv(payload, dst, src, tag(op::SMP_A2A0, step as u32), CTX_COLL);
-            from_bytes(&got, &mut out[src * block..(src + 1) * block]);
-        }
-        let num_leaders = topo.leaders.len();
-        if num_leaders == 1 {
-            return out;
-        }
-        // Phase B: members hand their externally-destined slabs to the
-        // leader, keyed by destination rank.
-        let externals: Vec<(usize, Bytes)> = (0..n)
-            .filter(|d| !topo.my_group.contains(d))
-            .map(|d| (d, to_bytes(&data[d * block..(d + 1) * block])))
-            .collect();
-        if self.rank != topo.my_leader {
-            self.coll_send(
-                bundle(&externals),
-                topo.my_leader,
-                tag(op::SMP_A2A1, 0),
-                CTX_COLL,
-            );
-        }
-        let mut staged: Vec<(usize, usize, Bytes)> = Vec::new();
-        if self.rank == topo.my_leader {
-            staged.extend(externals.iter().map(|(d, b)| (self.rank, *d, b.clone())));
-            for &member in &topo.my_group {
-                if member == self.rank {
-                    continue;
-                }
-                let b = self.coll_recv(member, tag(op::SMP_A2A1, 0), CTX_COLL);
-                for (d, slab) in unbundle_ok(&b, "alltoall-smp member bundle") {
-                    staged.push((member, d, slab));
-                }
-            }
-            // Phase C: leaders exchange per-group aggregates pairwise,
-            // frames keyed by src*n+dst.
-            let my_lpos = topo
-                .leaders
-                .iter()
-                .position(|&l| l == self.rank)
-                .expect("leader not in leader list");
-            let mut incoming: Vec<(usize, usize, Bytes)> = Vec::new();
-            for step in 1..num_leaders {
-                let dst_leader = topo.leaders[(my_lpos + step) % num_leaders];
-                let src_leader = topo.leaders[(my_lpos + num_leaders - step) % num_leaders];
-                let dst_group = &topo.groups[topo
-                    .leaders
-                    .iter()
-                    .position(|&l| l == dst_leader)
-                    .expect("leader not in leader list")];
-                let frames: Vec<(usize, Bytes)> = staged
-                    .iter()
-                    .filter(|(_, d, _)| dst_group.contains(d))
-                    .map(|(s, d, b)| (s * n + d, b.clone()))
-                    .collect();
-                let got = self.coll_sendrecv(
-                    bundle(&frames),
-                    dst_leader,
-                    src_leader,
-                    tag(op::SMP_A2A2, step as u32),
-                    CTX_COLL,
-                );
-                for (key, slab) in unbundle_ok(&got, "alltoall-smp leader bundle") {
-                    incoming.push((key / n, key % n, slab));
-                }
-            }
-            // Phase D: distribute incoming slabs to the group, keyed by
-            // source rank.
-            for &member in &topo.my_group {
-                if member == self.rank {
-                    for (s, _, slab) in incoming.iter().filter(|(_, d, _)| *d == member) {
-                        from_bytes(slab, &mut out[s * block..(s + 1) * block]);
-                    }
-                } else {
-                    let frames: Vec<(usize, Bytes)> = incoming
-                        .iter()
-                        .filter(|(_, d, _)| *d == member)
-                        .map(|(s, _, b)| (*s, b.clone()))
-                        .collect();
-                    self.coll_send(bundle(&frames), member, tag(op::SMP_A2A3, 0), CTX_COLL);
-                }
-            }
-        } else {
-            let b = self.coll_recv(topo.my_leader, tag(op::SMP_A2A3, 0), CTX_COLL);
-            for (s, slab) in unbundle_ok(&b, "alltoall-smp distribution bundle") {
-                from_bytes(&slab, &mut out[s * block..(s + 1) * block]);
-            }
-        }
-        out
-    }
-}
-
-/// Absolute rank of relative position `rel` for root `root` in a group of
-/// `n` (world-list variant).
-fn list_abs(rel: usize, root: usize, n: usize) -> usize {
-    (rel + root) % n
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 
-use crate::collectives::tag;
+use crate::collectives::{must, tag};
 use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, ReduceOp, Reducible};
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
@@ -139,7 +139,15 @@ impl Mpi {
         );
         let list: Vec<usize> = (0..n).collect();
         // Stage 1: binomial reduce to rank 0.
-        let reduced = self.reduce_inner_ctx(data, rop, &list, 0, xop::RSCAT, CTX_COLL);
+        let reduced = self.reduce_list(
+            data.to_vec(),
+            &|acc, x| reduce_into(rop, acc, x),
+            &list,
+            0,
+            xop::RSCAT,
+            CTX_COLL,
+        );
+        let reduced = must("reduce_scatter", reduced);
         // Stage 2: rank 0 scatters the blocks linearly.
         let mut mine = zeroed(block);
         if self.rank == 0 {
@@ -213,7 +221,8 @@ impl Mpi {
             None
         };
         let list: Vec<usize> = (0..n).collect();
-        let framed = self.bcast_inner_ctx(bundle, &list, 0, xop::ALLGATHERV, CTX_COLL);
+        let framed = self.bcast_list(bundle, &list, 0, xop::ALLGATHERV, CTX_COLL);
+        let framed = must("allgatherv", framed);
         let mut out = Vec::with_capacity(n);
         let mut off = 0usize;
         while off < framed.len() {

@@ -12,23 +12,15 @@
 //!   binomial tree, then a ring allgather reassembles — same bandwidth
 //!   bound.
 //!
-//! Both fall back to the latency-optimal algorithms for small messages or
-//! non-power-of-two groups (like MVAPICH2's tuning tables). The main
-//! entry points (`Mpi::bcast`, `Mpi::allreduce`) reach these algorithms
-//! through the [`crate::coll_select::CollectiveSelector`] once the
-//! message crosses `MV2_COLL_LARGE_MSG`; the `*_tuned` wrappers keep the
-//! original fixed-threshold behaviour for the ablation benchmarks.
+//! The main entry points (`Mpi::bcast`, `Mpi::allreduce`) reach these
+//! algorithms only through the [`crate::coll_select::CollectiveSelector`],
+//! once the message crosses `MV2_COLL_LARGE_MSG` (Rabenseifner also needs
+//! a power-of-two world), like MVAPICH2's tuning tables.
 
-use crate::coll_select::{coll_trace_name, CollAlgo, CollKind};
 use crate::collectives::tag;
 use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
-use crate::stats::CallClass;
-
-/// Message size (bytes) above which the `*_tuned` wrappers select the
-/// bandwidth-optimal algorithms (MVAPICH2 switches in the tens of KiB).
-pub const LARGE_COLL_THRESHOLD: usize = 32 * 1024;
 
 mod lop {
     pub const RABEN: u32 = 48;
@@ -36,31 +28,8 @@ mod lop {
 }
 
 impl Mpi {
-    /// Allreduce with automatic algorithm selection: recursive doubling
-    /// below [`LARGE_COLL_THRESHOLD`], Rabenseifner above (power-of-two
-    /// rank counts; otherwise the default algorithm).
-    pub fn allreduce_tuned<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let bytes = std::mem::size_of_val(data);
-        if bytes >= LARGE_COLL_THRESHOLD && self.n.is_power_of_two() && self.n > 1 {
-            self.allreduce_rabenseifner(data, rop)
-        } else {
-            self.allreduce(data, rop)
-        }
-    }
-
     /// Rabenseifner's algorithm: recursive-halving reduce-scatter then
     /// recursive-doubling allgather. Requires a power-of-two rank count.
-    pub fn allreduce_rabenseifner<T: Reducible>(&mut self, data: &[T], rop: ReduceOp) -> Vec<T> {
-        let t0 = self.enter();
-        let out = self.allreduce_rabenseifner_inner(data, rop);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Allreduce, CollAlgo::Large),
-        );
-        out
-    }
-
     pub(crate) fn allreduce_rabenseifner_inner<T: Reducible>(
         &mut self,
         data: &[T],
@@ -134,29 +103,8 @@ impl Mpi {
         vec
     }
 
-    /// Broadcast with automatic algorithm selection: binomial below
-    /// [`LARGE_COLL_THRESHOLD`], scatter + ring allgather above.
-    pub fn bcast_tuned<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let bytes = std::mem::size_of_val(buf);
-        if bytes >= LARGE_COLL_THRESHOLD && self.n > 1 {
-            self.bcast_scatter_allgather(buf, root);
-        } else {
-            self.bcast(buf, root);
-        }
-    }
-
     /// Scatter–allgather broadcast: the root scatters `n` blocks, a ring
     /// allgather reassembles them everywhere.
-    pub fn bcast_scatter_allgather<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
-        let t0 = self.enter();
-        self.bcast_scatter_allgather_inner(buf, root);
-        self.exit_named(
-            CallClass::Collective,
-            t0,
-            coll_trace_name(CollKind::Bcast, CollAlgo::Large),
-        );
-    }
-
     pub(crate) fn bcast_scatter_allgather_inner<T: MpiData>(&mut self, buf: &mut [T], root: usize) {
         let n = self.n;
         let rank = self.rank;

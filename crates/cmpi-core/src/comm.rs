@@ -6,7 +6,9 @@
 //! traffic is isolated by the communicator's context id so concurrent
 //! collectives on disjoint communicators can never cross-match.
 
-use crate::datatype::{from_bytes, to_bytes, MpiData, ReduceOp, Reducible};
+use crate::collectives::must;
+use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
+use crate::error::MpiError;
 use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
@@ -82,17 +84,19 @@ impl Mpi {
         // counters. Context ids only need to be unique among communicators
         // that share a member, which this guarantees (each member bumps
         // its counter past the agreed id).
-        let agreed = self.allreduce_inner_ctx(
-            &[self.next_ctx as u64],
-            ReduceOp::Max,
+        let agreed = self.allreduce_list(
+            vec![self.next_ctx as u64],
+            &|acc, x| reduce_into(ReduceOp::Max, acc, x),
             parent.ranks(),
             cop::SPLIT,
             parent.ctx(),
-        )[0] as u32;
+        );
+        let agreed = must("comm_split", agreed)[0] as u32;
         self.next_ctx = agreed + 1;
         // Exchange (color, key, world rank) across the parent.
         let mine = [color, key, self.rank as u64];
         let all = self.allgather_list(&mine, parent.ranks(), cop::SPLIT + 16, parent.ctx());
+        let all = must("comm_split", all);
         let mut members: Vec<(u64, u64, usize)> = all
             .chunks_exact(3)
             .filter(|c| c[0] == color)
@@ -108,42 +112,40 @@ impl Mpi {
         Comm { ctx: agreed, ranks }
     }
 
-    /// Ring allgather over an explicit rank list (used by comm_split and
-    /// the communicator-level allgather).
-    fn allgather_list<T: MpiData>(
+    /// Allgather over an explicit rank list: gather to `list[0]`, then
+    /// broadcast the assembled buffer on `op_id + 1` (`comm_split`'s
+    /// exchange and the communicator allgathers). Zero-count
+    /// contributions are legal.
+    pub(crate) fn allgather_list<T: MpiData>(
         &mut self,
         data: &[T],
         list: &[usize],
         op_id: u32,
         ctx: u32,
-    ) -> Vec<T> {
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in group");
+    ) -> Result<Vec<T>, MpiError> {
         let block = data.len();
-        let mut all = vec![data[0]; block * n];
-        all[me * block..(me + 1) * block].copy_from_slice(data);
-        // Gather to position-0 rank then broadcast: simple and correct
-        // for modest group sizes.
-        let parts = self.gather_inner_ctx(to_bytes(data), list, 0, op_id, ctx);
-        if self.rank == list[0] {
+        let mut all = zeroed(block * list.len());
+        let parts = self.gather_list(to_bytes(data), list, 0, op_id, ctx)?;
+        let seed = (self.rank == list[0]).then(|| {
             for (world_rank, bytes) in parts {
-                let pos = list.iter().position(|&r| r == world_rank).unwrap();
+                let pos = list
+                    .iter()
+                    .position(|&r| r == world_rank)
+                    .expect("gathered parts come from list members");
                 from_bytes(&bytes, &mut all[pos * block..(pos + 1) * block]);
             }
-        }
-        let seed = (self.rank == list[0]).then(|| to_bytes(&all));
-        let bytes = self.bcast_inner_ctx(seed, list, 0, op_id + 1, ctx);
+            to_bytes(&all)
+        });
+        let bytes = self.bcast_list(seed, list, 0, op_id + 1, ctx)?;
         from_bytes(&bytes, &mut all);
-        all
+        Ok(all)
     }
 
     /// Barrier over a communicator.
     pub fn barrier_comm(&mut self, comm: &Comm) {
         let t0 = self.enter();
-        self.barrier_inner_ctx(comm.ranks(), cop::BARRIER, comm.ctx());
+        let r = self.barrier_list(comm.ranks(), cop::BARRIER, comm.ctx());
+        must("barrier", r);
         self.exit(CallClass::Collective, t0);
     }
 
@@ -151,7 +153,8 @@ impl Mpi {
     pub fn bcast_comm<T: MpiData>(&mut self, comm: &Comm, buf: &mut [T], root: usize) {
         let t0 = self.enter();
         let seed = (self.rank == comm.world_rank(root)).then(|| to_bytes(buf));
-        let out = self.bcast_inner_ctx(seed, comm.ranks(), root, cop::BCAST, comm.ctx());
+        let out = self.bcast_list(seed, comm.ranks(), root, cop::BCAST, comm.ctx());
+        let out = must("bcast", out);
         if self.rank != comm.world_rank(root) {
             from_bytes(&out, buf);
         }
@@ -167,7 +170,15 @@ impl Mpi {
         root: usize,
     ) -> Option<Vec<T>> {
         let t0 = self.enter();
-        let acc = self.reduce_inner_ctx(data, rop, comm.ranks(), root, cop::REDUCE, comm.ctx());
+        let acc = self.reduce_list(
+            data.to_vec(),
+            &|acc, x| reduce_into(rop, acc, x),
+            comm.ranks(),
+            root,
+            cop::REDUCE,
+            comm.ctx(),
+        );
+        let acc = must("reduce", acc);
         self.exit(CallClass::Collective, t0);
         (self.rank == comm.world_rank(root)).then_some(acc)
     }
@@ -180,7 +191,14 @@ impl Mpi {
         rop: ReduceOp,
     ) -> Vec<T> {
         let t0 = self.enter();
-        let out = self.allreduce_inner_ctx(data, rop, comm.ranks(), cop::ALLREDUCE, comm.ctx());
+        let out = self.allreduce_list(
+            data.to_vec(),
+            &|acc, x| reduce_into(rop, acc, x),
+            comm.ranks(),
+            cop::ALLREDUCE,
+            comm.ctx(),
+        );
+        let out = must("allreduce", out);
         self.exit(CallClass::Collective, t0);
         out
     }
@@ -189,6 +207,7 @@ impl Mpi {
     pub fn allgather_comm<T: MpiData>(&mut self, comm: &Comm, data: &[T]) -> Vec<T> {
         let t0 = self.enter();
         let out = self.allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
+        let out = must("allgather", out);
         self.exit(CallClass::Collective, t0);
         out
     }

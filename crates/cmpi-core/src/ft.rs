@@ -45,7 +45,7 @@ use bytes::Bytes;
 use crate::coll_select::CollectiveSelector;
 use crate::collectives::tag;
 use crate::comm::{cop, Comm};
-use crate::datatype::{from_bytes, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
+use crate::datatype::{from_bytes, reduce_into, to_bytes, zeroed, MpiData, ReduceOp, Reducible};
 use crate::error::MpiError;
 use crate::failure::Decision;
 use crate::packet::ReqId;
@@ -235,6 +235,7 @@ impl Mpi {
             .insert(d.new_ctx, std::sync::Arc::new(survivors.clone()));
         let groups: Vec<Vec<usize>> = self
             .coll_groups
+            .groups
             .iter()
             .map(|g| {
                 g.iter()
@@ -357,7 +358,7 @@ impl Mpi {
     /// Fault-tolerant [`Mpi::barrier_comm`].
     pub fn try_barrier_comm(&mut self, comm: &Comm) -> Result<(), MpiError> {
         let t0 = self.ft_enter()?;
-        let out = self.try_barrier_inner_ctx(comm.ranks(), cop::BARRIER, comm.ctx());
+        let out = self.barrier_list(comm.ranks(), cop::BARRIER, comm.ctx());
         self.exit(CallClass::Collective, t0);
         out
     }
@@ -371,7 +372,7 @@ impl Mpi {
     ) -> Result<(), MpiError> {
         let t0 = self.ft_enter()?;
         let seed = (self.rank == comm.world_rank(root)).then(|| to_bytes(buf));
-        let out = self.try_bcast_inner_ctx(seed, comm.ranks(), root, cop::BCAST, comm.ctx());
+        let out = self.bcast_list(seed, comm.ranks(), root, cop::BCAST, comm.ctx());
         let out = out.map(|bytes| {
             if self.rank != comm.world_rank(root) {
                 from_bytes(&bytes, buf);
@@ -390,7 +391,14 @@ impl Mpi {
         root: usize,
     ) -> Result<Option<Vec<T>>, MpiError> {
         let t0 = self.ft_enter()?;
-        let out = self.try_reduce_inner_ctx(data, rop, comm.ranks(), root, cop::REDUCE, comm.ctx());
+        let out = self.reduce_list(
+            data.to_vec(),
+            &|acc, x| reduce_into(rop, acc, x),
+            comm.ranks(),
+            root,
+            cop::REDUCE,
+            comm.ctx(),
+        );
         self.exit(CallClass::Collective, t0);
         out.map(|acc| (self.rank == comm.world_rank(root)).then_some(acc))
     }
@@ -403,7 +411,13 @@ impl Mpi {
         rop: ReduceOp,
     ) -> Result<Vec<T>, MpiError> {
         let t0 = self.ft_enter()?;
-        let out = self.try_allreduce_inner_ctx(data, rop, comm.ranks(), cop::ALLREDUCE, comm.ctx());
+        let out = self.allreduce_list(
+            data.to_vec(),
+            &|acc, x| reduce_into(rop, acc, x),
+            comm.ranks(),
+            cop::ALLREDUCE,
+            comm.ctx(),
+        );
         self.exit(CallClass::Collective, t0);
         out
     }
@@ -415,39 +429,9 @@ impl Mpi {
         data: &[T],
     ) -> Result<Vec<T>, MpiError> {
         let t0 = self.ft_enter()?;
-        let out = self.try_allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
+        let out = self.allgather_list(data, comm.ranks(), cop::GATHER, comm.ctx());
         self.exit(CallClass::Collective, t0);
         out
-    }
-
-    /// Fault-tolerant gather-then-broadcast allgather over an explicit
-    /// rank list (mirrors `allgather_list`).
-    fn try_allgather_list<T: MpiData>(
-        &mut self,
-        data: &[T],
-        list: &[usize],
-        op_id: u32,
-        ctx: u32,
-    ) -> Result<Vec<T>, MpiError> {
-        let n = list.len();
-        let me = list
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank not in group");
-        let block = data.len();
-        let mut all = vec![data[0]; block * n];
-        all[me * block..(me + 1) * block].copy_from_slice(data);
-        let parts = self.try_gather_inner_ctx(to_bytes(data), list, 0, op_id, ctx)?;
-        if self.rank == list[0] {
-            for (world_rank, bytes) in parts {
-                let pos = list.iter().position(|&r| r == world_rank).unwrap();
-                from_bytes(&bytes, &mut all[pos * block..(pos + 1) * block]);
-            }
-        }
-        let seed = (self.rank == list[0]).then(|| to_bytes(&all));
-        let bytes = self.try_bcast_inner_ctx(seed, list, 0, op_id + 1, ctx)?;
-        from_bytes(&bytes, &mut all);
-        Ok(all)
     }
 
     // ---- fault-tolerant communicator point-to-point -------------------------

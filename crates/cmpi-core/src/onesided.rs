@@ -22,8 +22,10 @@ use cmpi_cluster::{Channel, SimTime};
 use cmpi_fabric::MemoryRegion;
 use cmpi_prof::WaitClass;
 
+use crate::collectives::must;
 use crate::datatype::{from_bytes, reduce_into, to_bytes, MpiData, ReduceOp, Reducible};
 use crate::locality::LocalityPolicy;
+use crate::pt2pt::CTX_COLL;
 use crate::runtime::Mpi;
 use crate::stats::CallClass;
 
@@ -69,7 +71,8 @@ impl Mpi {
         self.state.windows.publish(id, self.rank, Arc::clone(&mr));
         // The registration exchange is collective; the barrier also
         // provides the happens-before edge for the region table.
-        self.with_world_list(|mpi, list| mpi.barrier_inner(list, 13));
+        let r = self.with_world_list(|mpi, list| mpi.barrier_list(list, 13, CTX_COLL));
+        must("window barrier", r);
         let regions = (0..self.n)
             .map(|r| self.state.windows.region(id, r))
             .collect();
@@ -308,7 +311,8 @@ impl Mpi {
     pub fn fence(&mut self, win: &mut Window) {
         let t0 = self.enter();
         self.drain_pending(win);
-        self.with_world_list(|mpi, list| mpi.barrier_inner(list, 14));
+        let r = self.with_world_list(|mpi, list| mpi.barrier_list(list, 14, CTX_COLL));
+        must("window barrier", r);
         self.exit(CallClass::OneSided, t0);
     }
 

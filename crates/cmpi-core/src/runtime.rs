@@ -653,7 +653,7 @@ pub(crate) struct JobState {
     /// construction, computed once by whichever rank initializes first:
     /// the per-rank computation is O(n log n) string-keyed grouping, so
     /// per-rank recomputation made job init O(n² log n).
-    coll_groups_cache: OnceLock<Arc<Vec<Vec<usize>>>>,
+    coll_groups_cache: OnceLock<Arc<crate::collectives::Partition>>,
 }
 
 impl JobState {
@@ -899,13 +899,10 @@ pub struct Mpi {
     /// Per-call collective algorithm selector (policy + tunables +
     /// topology shape), fixed at init so every rank decides identically.
     pub(crate) coll: CollectiveSelector,
-    /// The locality groups the policy induces, computed once per job
-    /// and shared across ranks (used by the two-level collectives and
+    /// The locality partition the policy induces, computed once per job
+    /// and shared across ranks (read by the two-level collectives and
     /// exposed via `policy_groups`).
-    pub(crate) coll_groups: Arc<Vec<Vec<usize>>>,
-    /// This rank's two-level topology view over `coll_groups`, shared so
-    /// each collective call is a refcount bump, not a structure clone.
-    pub(crate) smp_topo: Arc<crate::collectives::SmpTopo>,
+    pub(crate) coll_groups: Arc<crate::collectives::Partition>,
     pub(crate) view: LocalityView,
     pub(crate) engine: MatchingEngine,
     pub(crate) stats: CommStats,
@@ -1113,9 +1110,9 @@ impl Mpi {
         let coll_groups = Arc::clone(
             state
                 .coll_groups_cache
-                .get_or_init(|| Arc::new(crate::collectives::policy_groups_of(&state, n))),
+                .get_or_init(|| Arc::new(crate::collectives::Partition::of(&state, n))),
         );
-        let coll = CollectiveSelector::new(state.policy, state.tunables, &coll_groups, n);
+        let coll = CollectiveSelector::new(state.policy, state.tunables, &coll_groups.groups, n);
         let stats = CommStats::with_recovery(recovery);
         let fate = plan.midrun_fate_of(rank, state.placement.loc(rank).container);
         let ft_active = plan.has_midrun_faults();
@@ -1130,7 +1127,6 @@ impl Mpi {
             state,
             selector,
             coll,
-            smp_topo: Arc::new(crate::collectives::SmpTopo::build(&coll_groups, rank)),
             coll_groups,
             view,
             engine: MatchingEngine::new(),

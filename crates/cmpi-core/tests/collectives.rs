@@ -224,31 +224,44 @@ fn detector_speeds_up_collectives_on_co_resident_containers() {
     assert!(opt < def, "opt {opt} must beat def {def}");
 }
 
-#[test]
-fn smp_collectives_match_flat_results() {
-    let spec = JobSpec::new(DeploymentScenario::containers(
+/// 2 hosts x 2 containers x 2 ranks: under the detector the selector
+/// picks the two-level schedule for every collective.
+fn spec_two_level() -> JobSpec {
+    JobSpec::new(DeploymentScenario::containers(
         2,
         2,
         2,
         NamespaceSharing::default(),
-    ));
-    let r = spec.run(|mpi| {
-        let mine = vec![mpi.rank() as u64 + 1; 8];
-        let flat = mpi.allreduce(&mine, ReduceOp::Sum);
-        let smp = mpi.allreduce_smp(&mine, ReduceOp::Sum);
-        assert_eq!(flat, smp);
+    ))
+}
 
-        let mut buf = if mpi.rank() == 3 {
-            vec![11u32, 22]
-        } else {
-            vec![0u32; 2]
-        };
-        mpi.bcast_smp(&mut buf, 3);
-        (flat[0], buf)
-    });
+#[test]
+fn smp_collectives_match_flat_results() {
+    use cmpi_cluster::Tunables;
+    use cmpi_core::{CollAlgo, CollKind};
+    let run = |spec: JobSpec| {
+        spec.run(|mpi| {
+            let mine = vec![mpi.rank() as u64 + 1; 8];
+            let sum = mpi.allreduce(&mine, ReduceOp::Sum);
+            let mut buf = if mpi.rank() == 3 {
+                vec![11u32, 22]
+            } else {
+                vec![0u32; 2]
+            };
+            mpi.bcast(&mut buf, 3);
+            (sum, buf)
+        })
+    };
+    let smp = run(spec_two_level());
+    let flat = run(spec_two_level().with_tunables(Tunables::default().with_smp_coll_enable(false)));
+    for kind in [CollKind::Allreduce, CollKind::Bcast] {
+        assert_eq!(smp.stats.coll_selections(kind, CollAlgo::TwoLevel), 8);
+        assert_eq!(flat.stats.coll_selections(kind, CollAlgo::Flat), 8);
+    }
+    assert_eq!(smp.results, flat.results);
     let total: u64 = (1..=8).sum();
-    for (flat0, buf) in &r.results {
-        assert_eq!(*flat0, total);
+    for (sum, buf) in &smp.results {
+        assert_eq!(sum, &vec![total; 8]);
         assert_eq!(buf, &[11, 22]);
     }
 }
@@ -424,28 +437,36 @@ fn selector_honours_thresholds_and_large_switchover() {
 
 #[test]
 fn new_smp_variants_match_sequential_references() {
-    // 2 hosts x 2 containers x 2 ranks: genuinely hierarchical, with
-    // non-leader roots (3, 5) exercising the root<->leader shuttles.
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        2,
-        NamespaceSharing::default(),
-    ));
+    // Non-leader roots (3, 5) exercise the root<->leader shuttles.
+    use cmpi_core::{CollAlgo, CollKind};
     let n = 8usize;
     let block = 3usize;
-    let r = spec.run(move |mpi| {
+    let r = spec_two_level().run(move |mpi| {
         let rank = mpi.rank();
         let mine: Vec<u64> = (0..block).map(|i| (rank * 31 + i) as u64).collect();
 
-        let red = mpi.reduce_smp(&mine, ReduceOp::Sum, 5);
-        let gat = mpi.gather_smp(&mine, 3);
-        let ag = mpi.allgather_smp(&mine);
+        let red = mpi.reduce(&mine, ReduceOp::Sum, 5);
+        let gat = mpi.gather(&mine, 3);
+        let ag = mpi.allgather(&mine);
         let a2a_in: Vec<u64> = (0..n * block).map(|j| (rank * 1000 + j) as u64).collect();
-        let a2a = mpi.alltoall_smp(&a2a_in, block);
-        mpi.barrier_smp();
+        let a2a = mpi.alltoall(&a2a_in, block);
+        mpi.barrier();
         (red, gat, ag, a2a)
     });
+    for kind in [
+        CollKind::Reduce,
+        CollKind::Gather,
+        CollKind::Allgather,
+        CollKind::Alltoall,
+        CollKind::Barrier,
+    ] {
+        assert_eq!(
+            r.stats.coll_selections(kind, CollAlgo::TwoLevel),
+            n as u64,
+            "{} must run two-level",
+            kind.name()
+        );
+    }
     let concat: Vec<u64> = (0..n)
         .flat_map(|r| (0..block).map(move |i| (r * 31 + i) as u64))
         .collect();
@@ -461,30 +482,30 @@ fn new_smp_variants_match_sequential_references() {
         if let Some(v) = gat {
             assert_eq!(v, &concat);
         }
-        assert_eq!(ag, &concat, "allgather_smp rank {rank}");
+        assert_eq!(ag, &concat, "two-level allgather rank {rank}");
         let expect: Vec<u64> = (0..n * block)
             .map(|j| {
                 let src = j / block;
                 (src * 1000 + rank * block + j % block) as u64
             })
             .collect();
-        assert_eq!(a2a, &expect, "alltoall_smp rank {rank}");
+        assert_eq!(a2a, &expect, "two-level alltoall rank {rank}");
     }
 }
 
 #[test]
 fn barrier_smp_synchronizes_clocks() {
-    let spec = JobSpec::new(DeploymentScenario::containers(
-        2,
-        2,
-        2,
-        NamespaceSharing::default(),
-    ));
-    let r = spec.run(|mpi| {
+    use cmpi_core::{CollAlgo, CollKind};
+    let r = spec_two_level().run(|mpi| {
         mpi.compute(cmpi_cluster::SimTime::from_us(10 * (mpi.rank() as u64 + 1)));
-        mpi.barrier_smp();
+        mpi.barrier();
         mpi.now()
     });
+    assert_eq!(
+        r.stats
+            .coll_selections(CollKind::Barrier, CollAlgo::TwoLevel),
+        8
+    );
     let slowest_entry = cmpi_cluster::SimTime::from_us(80);
     for (rk, t) in r.results.iter().enumerate() {
         assert!(*t >= slowest_entry, "rank {rk} left the barrier at {t}");

@@ -128,3 +128,32 @@ fn singleton_communicators_work() {
         assert_eq!(r.results[rank], rank as u64);
     }
 }
+
+#[test]
+fn zero_count_allgather_comm_returns_empty() {
+    // MPI permits zero counts on communicator collectives too, on both
+    // the plain and the fault-tolerant entry points.
+    let r = spec8().run(|mpi| {
+        let world = mpi.comm_world();
+        let half = mpi.comm_split(&world, (mpi.rank() / 4) as u64, 0);
+        let empty: Vec<u64> = Vec::new();
+        let plain = mpi.allgather_comm(&half, &empty);
+        let ft = mpi.try_allgather_comm(&half, &empty).expect("allgather");
+        plain.is_empty() && ft.is_empty()
+    });
+    assert!(r.results.iter().all(|&ok| ok));
+}
+
+#[test]
+fn zero_count_allgather_on_the_world_comm() {
+    let r = spec8().run(|mpi| {
+        let world = mpi.comm_world();
+        let empty: Vec<u32> = Vec::new();
+        let plain = mpi.allgather_comm(&world, &empty);
+        let ft = mpi.try_allgather_comm(&world, &empty).expect("allgather");
+        // A non-empty call after the empty ones still lines up.
+        let ranks = mpi.allgather_comm(&world, &[mpi.rank() as u32]);
+        plain.is_empty() && ft.is_empty() && ranks == (0..8).collect::<Vec<u32>>()
+    });
+    assert!(r.results.iter().all(|&ok| ok));
+}

@@ -7,6 +7,10 @@
 #   tasks     the same root-package test suite with CMPI_EXEC=tasks, so
 #             every tier-1 behavior is exercised with ranks as fibers on
 #             the worker pool as well as thread-per-rank
+#   coll      the cmpi-core collective suites (property tests, the
+#             two-level schedule fingerprint, communicators, large-message
+#             algorithms, thread/task equivalence) in release mode, once
+#             thread-per-rank and once with CMPI_EXEC=tasks
 #   examples  every example builds and runs to completion
 #   profile   profile-smoke: profiled OSU + figures --profile runs, with
 #             JSON parse and matrix byte-conservation asserted inside
@@ -52,6 +56,13 @@ echo "== cargo test -q (CMPI_EXEC=tasks)" >&2
 # bit-identical thread/task results; this run catches task-mode-only
 # breakage in tests that never mention the engine.
 CMPI_EXEC=tasks cargo test -q
+
+echo "== collective suites (threads, then CMPI_EXEC=tasks)" >&2
+COLL_SUITES=(--test coll_props --test collectives --test collectives_large
+             --test collectives_ext --test communicators --test coll_schedule
+             --test exec_equiv)
+cargo test -q --release -p cmpi-core "${COLL_SUITES[@]}"
+CMPI_EXEC=tasks cargo test -q --release -p cmpi-core "${COLL_SUITES[@]}"
 
 echo "== examples smoke" >&2
 cargo build --release --examples
