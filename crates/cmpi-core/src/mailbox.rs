@@ -59,19 +59,36 @@ impl Node {
     }
 }
 
-/// Thread-local recycling of mailbox nodes, so the steady-state push/pop
-/// path performs zero heap allocations per packet.
+/// Recycling of mailbox nodes, so the steady-state push/pop path
+/// performs zero heap allocations per packet.
 ///
-/// Each rank thread both produces (its sends push into peers' cells) and
-/// consumes (it pops its own cell), so a per-*thread* free stack
+/// Each rank both produces (its sends push into peers' cells) and
+/// consumes (it pops its own cell), so a free stack per rank
 /// self-balances under request/reply traffic: every node the consumer
-/// unlinks goes back into the pantry the same thread's next push draws
+/// unlinks goes back into the pantry the same rank's next push draws
 /// from. No cross-thread handoff means no synchronization — the node's
-/// memory was fully acquired by the pop that retired it, and it stays on
-/// that thread until the Release link store of its next push publishes
-/// it again. Purely one-sided traffic degrades gracefully: a pure sink
-/// caps its pantry at [`PANTRY_MAX`] nodes, a pure source falls back to
-/// the allocator exactly as before.
+/// memory was fully acquired by the pop that retired it, and it stays
+/// with that rank until the Release link store of its next push
+/// publishes it again.
+///
+/// The pantry has two tiers, both reached through a thread-local so the
+/// push and pop paths stay branch-light:
+///
+/// * the *rank* tier (up to [`RANK_MAX`] nodes) belongs to the running
+///   rank. In thread mode it never leaves the rank's thread. In task
+///   mode the rank carries it as a [`Pantry`] and the worker swaps it in
+///   for as long as the fiber runs (see `exec::run_task`); a rank's
+///   pushes and pops run on whichever worker holds it, so a pantry tied
+///   to the worker would drift to one worker while the other's pushes
+///   fell back to the allocator.
+/// * the *thread* tier (the rest, up to [`PANTRY_MAX`] in all) stays on
+///   the thread. It absorbs ranks that are net sinks or net sources of
+///   SHM traffic (a halo whose off-host neighbours differ per
+///   direction): a sink's overflow feeds the sources that run next on
+///   the same worker instead of going back to the allocator.
+///
+/// Beyond both caps retired nodes are freed; an empty pantry falls back
+/// to the allocator.
 ///
 /// Disabled under the model checker: `quarantine` must see every retired
 /// node so deferred frees keep race detection sound, and the model's
@@ -81,31 +98,72 @@ mod pantry {
     use super::Node;
     use std::cell::RefCell;
 
-    /// Cap on the per-thread free stack; beyond it, retired nodes fall
-    /// back to the allocator.
+    /// Cap on all free nodes one thread holds; beyond it, retired nodes
+    /// go back to the allocator.
     pub(super) const PANTRY_MAX: usize = 256;
+    /// Cap on the rank tier: enough for a window of request/reply
+    /// traffic, small enough that the parked tiers of thousands of
+    /// fibers stay cheap.
+    pub(super) const RANK_MAX: usize = 32;
+
+    // The boxes ARE the point: recycled nodes keep their heap address,
+    // so a queued Box<Node> hands the exact allocation back to the next
+    // push without a move or a malloc.
+    #[allow(clippy::vec_box)]
+    struct Tiers {
+        rank: Vec<Box<Node>>,
+        thread: Vec<Box<Node>>,
+    }
 
     thread_local! {
-        // The boxes ARE the point: recycled nodes keep their heap
-        // address, so a queued Box<Node> hands the exact allocation
-        // back to the next push without a move or a malloc.
-        #[allow(clippy::vec_box)]
-        static PANTRY: RefCell<Vec<Box<Node>>> = const { RefCell::new(Vec::new()) };
+        static PANTRY: RefCell<Tiers> = const {
+            RefCell::new(Tiers { rank: Vec::new(), thread: Vec::new() })
+        };
+    }
+
+    /// A fiber's rank tier while the fiber is off its worker.
+    #[derive(Default)]
+    pub(crate) struct Pantry(#[allow(clippy::vec_box)] Vec<Box<Node>>);
+
+    impl Pantry {
+        /// Exchange this rank tier with the current thread's.
+        pub(crate) fn swap_with_thread(&mut self) {
+            PANTRY.with(|p| std::mem::swap(&mut p.borrow_mut().rank, &mut self.0));
+        }
     }
 
     pub(super) fn take() -> Option<Box<Node>> {
-        PANTRY.with(|p| p.borrow_mut().pop())
+        PANTRY.with(|p| {
+            let mut p = p.borrow_mut();
+            p.rank.pop().or_else(|| p.thread.pop())
+        })
     }
 
     pub(super) fn give(n: Box<Node>) {
         PANTRY.with(|p| {
             let mut p = p.borrow_mut();
-            if p.len() < PANTRY_MAX {
-                p.push(n);
+            if p.rank.len() < RANK_MAX {
+                p.rank.push(n);
+            } else if p.thread.len() < PANTRY_MAX - RANK_MAX {
+                p.thread.push(n);
             }
         });
     }
 }
+
+/// Under the model checker nodes are never recycled, so a rank carries
+/// nothing between workers.
+#[cfg(cmpi_model)]
+mod pantry {
+    #[derive(Default)]
+    pub(crate) struct Pantry;
+
+    impl Pantry {
+        pub(crate) fn swap_with_thread(&mut self) {}
+    }
+}
+
+pub(crate) use pantry::Pantry;
 
 /// Vyukov-style intrusive MPSC queue. `push` is wait-free for producers
 /// (one `swap` + one `store`); `pop` is consumer-only.

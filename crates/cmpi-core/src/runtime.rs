@@ -135,11 +135,10 @@ impl JobSpec {
     }
 
     /// Pin the fiber stack size in KiB (overrides `CMPI_STACK_KIB`;
-    /// clamped to the 64 KiB minimum). Large-rank jobs whose bodies
-    /// have shallow frames should set this well below the 1 MiB
-    /// default: per-fiber stacks above the allocator's mmap threshold
-    /// cost a fresh mmap + page-fault storm + munmap per rank, which
-    /// at thousands of ranks dominates job setup.
+    /// clamped to the 64 KiB minimum). The stacks of a job come from one
+    /// arena, of which only touched pages commit; large-rank jobs whose
+    /// bodies have shallow frames can still set this below the 1 MiB
+    /// default to shrink the job's address-space reservation.
     pub fn with_stack_kib(mut self, kib: usize) -> Self {
         self.exec.stack_kib = Some(kib);
         self
@@ -857,6 +856,22 @@ pub(crate) enum RecvState {
     },
 }
 
+/// What one rank keeps about one peer (see [`Mpi::peers`]).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct PeerState {
+    /// Sequence number of the next message this rank sends the peer.
+    pub(crate) send_seq: u64,
+    /// Virtual time until which this rank's receive-side copy engine is
+    /// busy with the peer's packets. Back-to-back transfers from one
+    /// sender (a bandwidth stream) serialize — the receiver cannot copy
+    /// two of its packets at once. The tracker is per sender rather than
+    /// global because packets from different senders can be *processed*
+    /// in an order that inverts their virtual timestamps (a
+    /// future-stamped packet drained early must not delay an
+    /// earlier-stamped one from someone else).
+    pub(crate) copy_busy: SimTime,
+}
+
 /// The per-rank MPI handle — the library's ADI3 surface.
 /// Size of the flight-event write-behind buffer (see
 /// [`Mpi::tel_record_flight`]).
@@ -909,7 +924,11 @@ pub struct Mpi {
     pub(crate) next_req: ReqId,
     pub(crate) sends: FastMap<ReqId, SendState>,
     pub(crate) recvs: FastMap<ReqId, RecvState>,
-    pub(crate) send_seq: Vec<u64>,
+    /// Per-peer protocol state, keyed by world rank and created the
+    /// first time this rank sends to or copies from the peer. A dense
+    /// n-long table per rank would make bring-up quadratic in ranks; a
+    /// peer without an entry reads as [`PeerState::default`].
+    pub(crate) peers: FastMap<usize, PeerState>,
     pub(crate) win_counter: u32,
     /// Next communicator context id this rank would propose (see
     /// `Mpi::comm_split`).
@@ -990,15 +1009,6 @@ pub struct Mpi {
     pub(crate) trace: Option<RankTrace>,
     /// Causal-profile collector when profiling is enabled.
     pub(crate) prof: Option<ProfCollector>,
-    /// Virtual time until which this rank's receive-side copy engine is
-    /// busy, tracked *per sender*. Back-to-back transfers from one sender
-    /// (a bandwidth stream) serialize — the receiver cannot copy two of
-    /// its packets at once. The tracker is per sender rather than global
-    /// because packets from different senders can be *processed* in an
-    /// order that inverts their virtual timestamps (a future-stamped
-    /// packet drained early must not delay an earlier-stamped one from
-    /// someone else).
-    pub(crate) copy_busy: Vec<SimTime>,
     /// Reusable scratch buffer for batched mailbox drains in `progress`;
     /// its capacity persists across ticks so the steady-state drain path
     /// never allocates.
@@ -1134,7 +1144,7 @@ impl Mpi {
             next_req: 1,
             sends: FastMap::default(),
             recvs: FastMap::default(),
-            send_seq: vec![0; n],
+            peers: FastMap::default(),
             win_counter: 0,
             next_ctx: 16,
             fate,
@@ -1147,7 +1157,6 @@ impl Mpi {
             convicted_seen: FastSet::default(),
             shrink_gen: FastMap::default(),
             ctx_coll: FastMap::default(),
-            copy_busy: vec![SimTime::ZERO; n],
             chan_seen: 0,
             tel_flight_buf: [FlightEvent::new(EventKind::ChannelChoice, 0); FLIGHT_SPILL],
             tel_flight_len: 0,
@@ -1800,29 +1809,27 @@ impl Mpi {
                 // a floor here — *when* the progress engine really drained
                 // the packet is thread-scheduling, and recv completions
                 // are floored at the receiver's clock in wait anyway.
-                let start = pkt.available_at.max(self.copy_busy[pkt.src]);
-                let chunk_ready = match pkt.channel {
+                let copy = match pkt.channel {
                     Channel::Shm => {
-                        let t = start
-                            + SimTime::from_ns(cost.shm_match_ns)
+                        SimTime::from_ns(cost.shm_match_ns)
                             + cost.shm_copy_time(
                                 len as u64,
                                 self.state.tunables.smpi_length_queue as u64,
                                 self.cross_socket(pkt.src),
-                            );
-                        if pkt.src != self.rank {
-                            self.state.release_queue(pkt.src, self.rank, len, t);
-                        }
-                        t
+                            )
                     }
                     Channel::Hca => {
-                        start
-                            + cost.copy_time(len as u64, false)
-                            + SimTime::from_ns(cost.hca_completion_ns)
+                        cost.copy_time(len as u64, false) + SimTime::from_ns(cost.hca_completion_ns)
                     }
                     Channel::Cma => unreachable!("eager data never travels on CMA"),
                 };
-                self.copy_busy[pkt.src] = chunk_ready;
+                let peer = self.peers.entry(pkt.src).or_default();
+                let chunk_ready = pkt.available_at.max(peer.copy_busy) + copy;
+                peer.copy_busy = chunk_ready;
+                if matches!(pkt.channel, Channel::Shm) && pkt.src != self.rank {
+                    self.state
+                        .release_queue(pkt.src, self.rank, len, chunk_ready);
+                }
                 self.record_rx(pkt.src, pkt.channel, len);
                 if let Some(msg) = self.engine.eager_chunk(
                     pkt.src,
@@ -2057,10 +2064,10 @@ impl Mpi {
             // CMA: the receiver performs the single-copy read, serialized
             // on its copy engine.
             Channel::Cma => {
-                let t = pkt.available_at.max(self.copy_busy[src])
-                    + cost.cma_time(size as u64, self.cross_socket(src));
-                self.copy_busy[src] = t;
-                t
+                let copy = cost.cma_time(size as u64, self.cross_socket(src));
+                let peer = self.peers.entry(src).or_default();
+                peer.copy_busy = pkt.available_at.max(peer.copy_busy) + copy;
+                peer.copy_busy
             }
             // RDMA: zero copy, just completion handling. Floored at the
             // payload's availability only — the receiver's clock floors

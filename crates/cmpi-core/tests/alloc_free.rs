@@ -10,6 +10,9 @@
 //! eager staging (slab recycle), matching buckets (inline/pooled), and
 //! completion bookkeeping.
 //!
+//! The counter is process-wide, so the tests hold one lock for their
+//! whole run: a measured phase must never count the other test's job.
+//!
 //! The measured budget is asserted to be ZERO allocations for the whole
 //! phase. If this test starts failing after a change, set
 //! `CMPI_ALLOC_TRACE=1` to print a backtrace for each offending
@@ -17,6 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use bytes::Bytes;
 use cmpi_cluster::{DeploymentScenario, NamespaceSharing};
@@ -27,6 +31,7 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static TRACING: AtomicBool = AtomicBool::new(false);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -75,6 +80,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Steady-state SHM eager ping-pong allocates nothing per op.
 #[test]
 fn steady_state_eager_loop_is_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
         TRACING.store(true, Ordering::Relaxed);
     }
@@ -133,6 +139,7 @@ fn steady_state_eager_loop_is_allocation_free() {
 /// covering the drop-oldest path too.
 #[test]
 fn steady_state_rndv_recording_is_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("CMPI_ALLOC_TRACE").is_some() {
         TRACING.store(true, Ordering::Relaxed);
     }

@@ -11,6 +11,12 @@
 #             two-level schedule fingerprint, communicators, large-message
 #             algorithms, thread/task equivalence) in release mode, once
 #             thread-per-rank and once with CMPI_EXEC=tasks
+#   alloc     the counting-allocator proofs in release mode: the
+#             steady-state eager and rendezvous loops allocate nothing
+#             (alloc_free, thread-per-rank and CMPI_EXEC=tasks), and
+#             zero-step bring-up allocates the same bytes per rank at 256
+#             and 1024 ranks (bringup_alloc); serial, because each binary
+#             counts every allocation in its process
 #   examples  every example builds and runs to completion
 #   profile   profile-smoke: profiled OSU + figures --profile runs, with
 #             JSON parse and matrix byte-conservation asserted inside
@@ -63,6 +69,13 @@ COLL_SUITES=(--test coll_props --test collectives --test collectives_large
              --test exec_equiv)
 cargo test -q --release -p cmpi-core "${COLL_SUITES[@]}"
 CMPI_EXEC=tasks cargo test -q --release -p cmpi-core "${COLL_SUITES[@]}"
+
+echo "== allocation proofs (alloc_free in both engines, bringup_alloc)" >&2
+# One test thread: the test harness's own bookkeeping for a finished
+# test would otherwise land in the next test's counted window.
+cargo test -q --release -p cmpi-core --test alloc_free --test bringup_alloc \
+  -- --test-threads 1
+CMPI_EXEC=tasks cargo test -q --release -p cmpi-core --test alloc_free -- --test-threads 1
 
 echo "== examples smoke" >&2
 cargo build --release --examples
